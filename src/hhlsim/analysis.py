@@ -28,11 +28,8 @@ from .errors import BadFlag, DimensionMismatch, UnphysicalExpectations, ZeroProb
 from .hhl import HhlProblem, classical_solve, initial_state, pipeline_circuit, run_hhl
 from .qstate import density, fidelity, partial_trace, tensor
 
-_PAULI = {
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
+_PAULI = {"z": qc.z(0).matrix, "x": qc.x(0).matrix, "y": qc.y(0).matrix}
+_H = qc.h(0).matrix
 
 COMPONENT_ATOL = 1e-9
 
@@ -122,14 +119,13 @@ def genuine_entanglement_witnessed(state: np.ndarray) -> bool:
     return ghz_fidelity(state) > 0.5
 
 
-_H2 = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 FRAME_OPS = {
     "I": np.eye(2, dtype=complex),
     "X": _PAULI["x"],
     "Z": _PAULI["z"],
-    "H": _H2,
-    "HX": _H2 @ _PAULI["x"],
-    "XH": _PAULI["x"] @ _H2,
+    "H": _H,
+    "HX": _H @ _PAULI["x"],
+    "XH": _PAULI["x"] @ _H,
 }
 """Per-qubit frame candidates; names are operator products, rightmost first."""
 
@@ -463,16 +459,19 @@ def report_to_dict(r: PauliReport) -> dict:
             "fidelity": e.fidelity,
         }
         if e.shot_estimates is not None:
-            s = e.shot_estimates
-            d["shot_estimates"] = {
-                "shots": s.shots,
-                **{
-                    k: {"value": v.value, "stderr": v.stderr, "accepted": v.accepted}
-                    for k, v in (("z", s.z), ("x", s.x), ("y", s.y))
-                },
-            }
+            d["shot_estimates"] = shot_estimates_to_dict(e.shot_estimates)
         out["entries"].append(d)
     return out
+
+
+def shot_estimates_to_dict(s: ShotEstimates) -> dict:
+    return {
+        "shots": s.shots,
+        **{
+            k: {"value": v.value, "stderr": v.stderr, "accepted": v.accepted}
+            for k, v in (("z", s.z), ("x", s.x), ("y", s.y))
+        },
+    }
 
 
 def report_csv_rows(r: PauliReport) -> list[tuple]:

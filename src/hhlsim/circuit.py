@@ -4,11 +4,17 @@ Qubit 0 is the least significant bit of a basis index, matching
 ``qstate``. Circuits and gates are treated as immutable: build the op
 list first, then wrap it in a :class:`Circuit`.
 
-Two backends share the same gate embeddings. The statevector backend
-handles pure states, measurement collapse and classically conditioned
-gates; the density-matrix backend additionally applies depolarizing
-noise after gate applications. At zero noise they agree to 1e-10,
-which the self test exercises.
+Two backends share one gate kernel, :func:`_apply`. It views the state
+as one axis per qubit and contracts a gate's small matrix into its
+target axes, with controls taken as index views, so a k-qubit gate
+costs O(2**(n+k)) per statevector and no 2**n x 2**n operator is built.
+The statevector backend handles pure states, measurement collapse and
+classically conditioned gates; the density-matrix backend applies the
+same kernel to the rows and then to the columns, and additionally
+applies depolarizing noise after gate applications. At zero noise they
+agree to 1e-10, which the self test exercises. Projections on one
+qubit's outcome go through one helper, :func:`_project`, in both
+backends.
 
 Measurement randomness comes from a counter-based Philox generator
 keyed by (seed, shot index), so shot sampling is reproducible and
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import BadFlag, BadIndex, DimensionMismatch, NonUnitary, ZeroProbability
-from .qstate import density, num_qubits, partial_trace, tensor
+from .qstate import density, num_qubits, partial_trace
 
 UNITARY_ATOL = 1e-10
 
@@ -250,7 +256,7 @@ class Circuit:
         for op in self.ops:
             if not isinstance(op, Gate):
                 raise BadIndex("circuit with measurements has no single unitary")
-            u = embedded_unitary(op, self.qubits) @ u
+            u = _apply(u, op)
         return u
 
     def gate_census(self) -> dict[str, int]:
@@ -348,41 +354,82 @@ def _op_from_dict(d: dict):
     return controlled(g, *controls) if controls else g
 
 
-def embedded_unitary(g: Gate, n: int) -> np.ndarray:
-    """Full 2**n unitary of a gate, built by iterating over basis states."""
+def _apply(block: np.ndarray, g: Gate, matrix: np.ndarray | None = None, axis: int = 0) -> np.ndarray:
+    """Apply a gate to the qubit index ``axis`` of a 1-d or 2-d array.
+
+    With ``axis=0`` a ``(2**n, batch)`` array is viewed as
+    ``(2,)*n + (batch,)``, where axis a carries qubit n-1-a; ``axis=1``
+    puts the qubit axes after the batch. Each control axis is fixed to
+    index 1 by a basic-index view, the k-qubit matrix is contracted into
+    the target axes, and the result is written back into that view, so
+    the cost is O(2**(n+k)) per batch entry and nothing of size
+    2**n x 2**n is built. ``matrix`` overrides ``g.matrix`` (the
+    density-matrix backend passes its conjugate for the column index).
+    Writes in place when the reshape is a view, which it is for
+    C-contiguous input; use the returned array.
+    """
+    m = g.matrix if matrix is None else matrix
+    n = num_qubits(block.shape[axis])
     for q in g.targets + g.controls:
         if q >= n:
             raise BadIndex(f"qubit {q} out of range for {n} qubits")
-    dim = 1 << n
-    cols = np.arange(dim)
-    active = np.ones(dim, dtype=bool)
-    for c in g.controls:
-        active &= ((cols >> c) & 1) == 1
-    sub = np.zeros(dim, dtype=np.int64)
-    cleared = cols.copy()
-    for i, t in enumerate(g.targets):
-        sub |= ((cols >> t) & 1) << i
-        cleared &= ~(1 << t)
-    u = np.zeros((dim, dim), dtype=complex)
-    idle = cols[~active]
-    u[idle, idle] = 1.0
-    act_cols = cols[active]
-    act_sub = sub[active]
-    act_clr = cleared[active]
-    for out_sub in range(1 << len(g.targets)):
-        rows = act_clr.copy()
-        for i, t in enumerate(g.targets):
-            if (out_sub >> i) & 1:
-                rows |= 1 << t
-        u[rows, act_cols] += g.matrix[out_sub, act_sub]
-    return u
+    t = block.reshape(block.shape[:axis] + (2,) * n + block.shape[axis + 1:])
+    k = len(g.targets)
+    # axis axis+n-1-q carries qubit q. Bit i of the matrix index is targets[i];
+    # contract in descending qubit order, the order in which a row of the
+    # dense embedding sums.
+    order = sorted(range(k), key=lambda i: -g.targets[i])
+    lead = [axis + n - 1 - g.targets[i] for i in order]
+    fixed = [axis + n - 1 - c for c in g.controls]
+    rest = [a for a in range(t.ndim) if a not in lead and a not in fixed]
+    if k > 1:
+        m = m.reshape((2,) * (2 * k)).transpose(
+            [k - 1 - i for i in order] + [2 * k - 1 - i for i in order]
+        ).reshape(1 << k, 1 << k)
+    # controls move last and are fixed to 1 by a basic index: still a view
+    view = t.transpose(lead + rest + fixed)[(Ellipsis,) + (1,) * len(fixed)]
+    view[...] = np.dot(m, view.reshape(1 << k, -1)).reshape(view.shape)
+    return t.reshape(block.shape)
+
+
+def embedded_unitary(g: Gate, n: int) -> np.ndarray:
+    """Full 2**n unitary of a gate: the kernel applied to the identity."""
+    return _apply(np.eye(1 << n, dtype=complex), g)
 
 
 def apply_gate(state: np.ndarray, g: Gate) -> np.ndarray:
     """Apply one gate to a statevector."""
-    state = np.asarray(state, dtype=complex)
-    n = num_qubits(state.size)
-    return embedded_unitary(g, n) @ state
+    return _apply(np.array(state, dtype=complex), g)
+
+
+def _bit_view(arr: np.ndarray, qubit: int, bit: int) -> np.ndarray:
+    """Basic-index view of the entries whose ``qubit`` bit is ``bit``.
+
+    Every axis of ``arr`` has length 2**n and is split into n bit axes;
+    the bit is fixed on each of them, so for a density matrix the view
+    holds the rows and columns of that branch.
+    """
+    n = num_qubits(arr.shape[0])
+    t = arr.reshape((2,) * (n * arr.ndim))
+    idx = [slice(None)] * t.ndim
+    for start in range(0, t.ndim, n):
+        idx[start + n - 1 - qubit] = bit
+    # the trailing Ellipsis keeps a one-qubit view an array, not a scalar
+    return t[(*idx, Ellipsis)]
+
+
+def _project(arr: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
+    """Copy of a statevector or density matrix with the other branch zeroed."""
+    out = np.zeros_like(arr)
+    _bit_view(out, qubit, outcome)[...] = _bit_view(arr, qubit, outcome)
+    return out
+
+
+def _p_one(arr: np.ndarray, qubit: int) -> float:
+    """Probability of reading 1 on ``qubit``."""
+    if arr.ndim == 1:
+        return float(np.sum(np.abs(_bit_view(arr, qubit, 1)) ** 2))
+    return float(np.sum(np.abs(_bit_view(np.diag(arr), qubit, 1))).real)
 
 
 @dataclass(frozen=True)
@@ -418,16 +465,13 @@ def _shot_rng(seed: int, shot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _measure_vec(state: np.ndarray, qubit: int, rng) -> tuple[np.ndarray, int, float]:
-    idx = np.arange(state.size)
-    one = ((idx >> qubit) & 1) == 1
-    p1 = float(np.sum(np.abs(state[one]) ** 2))
+def _measure(state: np.ndarray, qubit: int, rng) -> tuple[np.ndarray, int, float]:
+    """Collapse a statevector or density matrix on a drawn outcome."""
+    p1 = _p_one(state, qubit)
     outcome = 1 if rng.random() < p1 else 0
-    keep = one if outcome else ~one
     p = p1 if outcome else 1.0 - p1
-    out = np.zeros_like(state)
-    out[keep] = state[keep]
-    return out / math.sqrt(p), outcome, p
+    scale = math.sqrt(p) if state.ndim == 1 else p
+    return _project(state, qubit, outcome) / scale, outcome, p
 
 
 def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int = 0) -> RunOutcome:
@@ -441,59 +485,38 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
     if arr.ndim == 1 and arr.size != (1 << c.qubits):
         raise DimensionMismatch(f"input size {arr.size} does not match {c.qubits} qubits")
     if arr.ndim == 2 or noise is not None:
-        rho = arr if arr.ndim == 2 else density(arr)
-        return _run_dm(c, rho, noise, seed)
+        rho = arr.copy() if arr.ndim == 2 else density(arr)
+        if rho.shape != (1 << c.qubits, 1 << c.qubits):
+            raise DimensionMismatch(f"density matrix shape {rho.shape} does not match circuit")
+
+        def touch(g: Gate, rho: np.ndarray) -> np.ndarray:
+            # U on the row index, conj(U) on the column index: U rho U^dagger
+            rho = _apply(rho, g)
+            rho = _apply(rho, g, g.matrix.conj(), axis=1)
+            if noise is not None and noise.p_depolarizing > 0.0:
+                if noise.applies_to == "all" or g.entangling:
+                    rho = depolarize(rho, g.targets + g.controls, noise.p_depolarizing)
+            return rho
+
+        return _execute(c, rho, touch, seed)
+    return _execute(c, arr.copy(), lambda g, state: _apply(state, g), seed)
+
+
+def _execute(c: Circuit, state: np.ndarray, touch, seed: int) -> RunOutcome:
+    """The op loop shared by both backends; ``touch`` applies one gate."""
     rng = _shot_rng(seed, 0)
-    state = arr.copy()
     classical: dict[int, int] = {}
     prob = 1.0
     for op in c.ops:
         if isinstance(op, Gate):
-            state = embedded_unitary(op, c.qubits) @ state
+            state = touch(op, state)
         elif isinstance(op, Measure):
-            state, outcome, p = _measure_vec(state, op.qubit, rng)
+            state, outcome, p = _measure(state, op.qubit, rng)
             classical[op.slot] = outcome
             prob *= p
-        else:
-            if classical[op.slot] == op.outcome:
-                state = embedded_unitary(op.gate, c.qubits) @ state
+        elif classical[op.slot] == op.outcome:
+            state = touch(op.gate, state)
     return RunOutcome(state, classical, prob)
-
-
-def _run_dm(c: Circuit, rho: np.ndarray, noise: NoiseSpec | None, seed: int) -> RunOutcome:
-    if rho.shape != (1 << c.qubits, 1 << c.qubits):
-        raise DimensionMismatch(f"density matrix shape {rho.shape} does not match circuit")
-    rng = _shot_rng(seed, 0)
-    classical: dict[int, int] = {}
-    prob = 1.0
-
-    def touch(g: Gate, state: np.ndarray) -> np.ndarray:
-        u = embedded_unitary(g, c.qubits)
-        state = u @ state @ u.conj().T
-        if noise is not None and noise.p_depolarizing > 0.0:
-            if noise.applies_to == "all" or g.entangling:
-                state = depolarize(state, g.targets + g.controls, noise.p_depolarizing)
-        return state
-
-    for op in c.ops:
-        if isinstance(op, Gate):
-            rho = touch(op, rho)
-        elif isinstance(op, Measure):
-            idx = np.arange(rho.shape[0])
-            one = ((idx >> op.qubit) & 1) == 1
-            p1 = float(np.sum(np.abs(np.diag(rho)[one])).real)
-            outcome = 1 if rng.random() < p1 else 0
-            keep = one if outcome else ~one
-            p = p1 if outcome else 1.0 - p1
-            proj = np.zeros_like(rho)
-            proj[np.ix_(keep, keep)] = rho[np.ix_(keep, keep)]
-            rho = proj / p
-            classical[op.slot] = outcome
-            prob *= p
-        else:
-            if classical[op.slot] == op.outcome:
-                rho = touch(op.gate, rho)
-    return RunOutcome(rho, classical, prob)
 
 
 def post_select(state: np.ndarray, qubit: int, outcome: int) -> tuple[np.ndarray, float]:
@@ -506,10 +529,7 @@ def post_select(state: np.ndarray, qubit: int, outcome: int) -> tuple[np.ndarray
     n = num_qubits(state.size)
     if not 0 <= qubit < n:
         raise BadIndex(f"qubit {qubit} out of range")
-    idx = np.arange(state.size)
-    keep = ((idx >> qubit) & 1) == outcome
-    out = np.zeros_like(state)
-    out[keep] = state[keep]
+    out = _project(state, qubit, outcome)
     norm = float(np.linalg.norm(out))
     if norm < 1e-14:
         raise ZeroProbability(f"projection of qubit {qubit} on {outcome} has vanishing norm")
@@ -522,10 +542,7 @@ def post_select_dm(rho: np.ndarray, qubit: int, outcome: int) -> tuple[np.ndarra
     n = num_qubits(rho.shape[0])
     if not 0 <= qubit < n:
         raise BadIndex(f"qubit {qubit} out of range")
-    idx = np.arange(rho.shape[0])
-    keep = ((idx >> qubit) & 1) == outcome
-    proj = np.zeros_like(rho)
-    proj[np.ix_(keep, keep)] = rho[np.ix_(keep, keep)]
+    proj = _project(rho, qubit, outcome)
     p = float(np.trace(proj).real)
     if p < 1e-28:
         raise ZeroProbability(f"projection of qubit {qubit} on {outcome} has vanishing weight")
@@ -557,28 +574,22 @@ def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
         for i in range(pos, len(c.ops)):
             op = c.ops[i]
             if isinstance(op, Gate):
-                state = embedded_unitary(op, c.qubits) @ state
+                state = _apply(state, op)
             elif isinstance(op, Measure):
-                idx = np.arange(state.size)
-                one = ((idx >> op.qubit) & 1) == 1
-                p1 = float(np.sum(np.abs(state[one]) ** 2))
+                p1 = _p_one(state, op.qubit)
                 for outcome, p in ((0, 1.0 - p1), (1, p1)):
                     if p <= 1e-15:
                         continue
-                    keep = one if outcome else ~one
-                    nxt = np.zeros_like(state)
-                    nxt[keep] = state[keep]
                     walk(
                         i + 1,
-                        nxt / math.sqrt(p),
+                        _project(state, op.qubit, outcome) / math.sqrt(p),
                         prob * p,
                         {**classical, op.slot: outcome},
                         record + str(outcome),
                     )
                 return
-            else:
-                if classical[op.slot] == op.outcome:
-                    state = embedded_unitary(op.gate, c.qubits) @ state
+            elif classical[op.slot] == op.outcome:
+                state = _apply(state, op.gate)
         out.append(Branch(record, prob, state, classical))
 
     walk(0, arr.copy(), 1.0, {}, "")
@@ -639,29 +650,21 @@ def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:
     if p == 0.0:
         return rho.copy()
     kept = [q for q in range(n) if q not in hit]
-    mixed = _lift_with_identity(partial_trace(rho, kept), kept, n)
-    return (1.0 - p) * rho + p * mixed
-
-
-def _lift_with_identity(reduced: np.ndarray, kept: list[int], n: int) -> np.ndarray:
-    """Tensor ``reduced`` (on sorted ``kept``) with I/d on the other qubits."""
-    others = [q for q in range(n) if q not in kept]
-    d_others = 1 << len(others)
-    m = tensor(np.eye(d_others) / d_others, reduced) if kept else np.eye(d_others) / d_others * complex(reduced[0, 0])
-    # current qubit order, least significant first: kept then others
-    order = list(kept) + others
-    return _permute_qubit_order(m, order, n)
-
-
-def _permute_qubit_order(m: np.ndarray, order: list[int], n: int) -> np.ndarray:
-    """Move bit position p of the current index to position order[p]."""
-    dim = 1 << n
-    idx = np.zeros(dim, dtype=np.int64)
-    for pos, target in enumerate(order):
-        idx |= ((np.arange(dim) >> pos) & 1) << target
-    perm = np.zeros((dim, dim))
-    perm[idx, np.arange(dim)] = 1.0
-    return perm @ m @ perm.T
+    # axis a carries the row bit of qubit n-1-a and axis n+a its column bit;
+    # partial_trace returns the kept qubits most significant first
+    kept_desc = kept[::-1]
+    red = partial_trace(rho, kept).reshape((2,) * (2 * len(kept)))
+    out = (1.0 - p) * rho
+    # a writable view of the entries whose row and column agree on every
+    # hit qubit: the support of I/d, where p * tr_hit(rho) / d is added
+    labels = list(range(n)) + [n + a if n - 1 - a in kept else a for a in range(n)]
+    block = np.einsum(
+        out.reshape((2,) * (2 * n)),
+        labels,
+        [n - 1 - q for q in kept_desc] + [2 * n - 1 - q for q in kept_desc] + [n - 1 - q for q in hit],
+    )
+    block += (p * (red / (1 << len(hit)))).reshape(red.shape + (1,) * len(hit))
+    return out
 
 
 def qft(n: int) -> Circuit:

@@ -119,19 +119,9 @@ def cmd_solve(args) -> int:
     }
     if args.shots:
         est = an.problem_shot_estimates(problem, args.shots, seed)
-        doc["result"]["shot_estimates"] = _estimates_dict(est)
+        doc["result"]["shot_estimates"] = an.shot_estimates_to_dict(est)
     _emit_json(doc, args.out)
     return 0
-
-
-def _estimates_dict(est: an.ShotEstimates) -> dict:
-    return {
-        "shots": est.shots,
-        **{
-            k: {"value": v.value, "stderr": v.stderr, "accepted": v.accepted}
-            for k, v in (("z", est.z), ("x", est.x), ("y", est.y))
-        },
-    }
 
 
 def cmd_paper(args) -> int:

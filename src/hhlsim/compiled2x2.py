@@ -44,7 +44,7 @@ returns the state at the entangler output, where the four qubits are
 maximally correlated: for the preset b3, which weights both eigenbranches
 equally, this is a GHZ-class state, carried into canonical form
 (|0000> + |1111>)/sqrt2 by the local frame H on the input and X on R2
-(GHZ_LOCAL_FRAME below).
+(``analysis.COMPILED_GHZ_FRAME``).
 """
 from __future__ import annotations
 
@@ -290,12 +290,3 @@ def _register_basis_index(roles: QubitRoles, value: int) -> int:
         idx |= 1 << roles.register_r2
     return idx
 
-
-GHZ_LOCAL_FRAME: dict[str, str] = {
-    "ancilla": "I",
-    "register_r1": "I",
-    "register_r2": "X",
-    "input": "H",
-}
-"""Per-wire frame carrying the b3 after_rotation state to
-(|0000> + |1111>)/sqrt2."""

@@ -58,10 +58,10 @@ class HhlProblem:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
         if self.n_register < 1:
             raise DimensionMismatch(f"need at least one register qubit, got {self.n_register}")
-        if self.t0 <= 0:
-            raise DimensionMismatch(f"t0 must be positive, got {self.t0}")
-        if self.c_const is not None and self.c_const <= 0:
-            raise InvalidC(f"C must be positive, got {self.c_const}")
+        if not 0 < self.t0 < math.inf:
+            raise DimensionMismatch(f"t0 must be positive and finite, got {self.t0}")
+        if self.c_const is not None and not 0 < self.c_const < math.inf:
+            raise InvalidC(f"C must be positive and finite, got {self.c_const}")
 
     @property
     def dim(self) -> int:
@@ -107,6 +107,8 @@ def validate(p: HhlProblem) -> ValidationInfo:
     check_hermitian(p.a)
     if p.b.shape != (p.dim,):
         raise DimensionMismatch(f"vector shape {p.b.shape} does not match matrix {p.a.shape}")
+    if not np.all(np.isfinite(p.b)):
+        raise NotNormalized("vector has a non-finite entry")
     if abs(np.linalg.norm(p.b) - 1.0) > 1e-12:
         raise NotNormalized(f"|b| = {np.linalg.norm(p.b)!r} is not 1")
     spectrum = eigh(p.a)
@@ -273,11 +275,9 @@ def run_hhl(p: HhlProblem) -> HhlResult:
     x = np.array([state[(j << shift) | 1] for j in range(p.dim)])
     x = x / np.linalg.norm(x)
 
-    census: dict[str, int] = {}
-    for stage in (pe, rot, inv):
-        for key, cnt in stage.gate_census().items():
-            census[key] = census.get(key, 0) + cnt
-    census["entangling"] = pe.entangling_count() + rot.entangling_count() + inv.entangling_count()
+    pipe = pe.then(rot).then(inv)
+    census = pipe.gate_census()
+    census["entangling"] = pipe.entangling_count()
 
     fid = state_fidelity(classical_solve(p.a, p.b), x)
     return HhlResult(x, p_success, fid, register_reset_ok, census)
@@ -312,17 +312,33 @@ def result_to_dict(r: HhlResult) -> dict:
     }
 
 
+def _real_from_json(v) -> float:
+    # bool is an int subclass, but true/false are not matrix entries
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise DimensionMismatch(f"entry {v!r} is not a number or an [re, im] pair")
+    try:
+        return float(v)
+    except OverflowError:
+        raise DimensionMismatch("an integer entry is too large for a float") from None
+
+
 def _entry_from_json(v) -> complex:
-    if isinstance(v, (list, tuple)):
+    if isinstance(v, list):
         if len(v) != 2:
             raise DimensionMismatch(f"complex entries are [re, im], got {v!r}")
-        return complex(float(v[0]), float(v[1]))
-    return complex(float(v), 0.0)
+        return complex(_real_from_json(v[0]), _real_from_json(v[1]))
+    return complex(_real_from_json(v), 0.0)
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[_entry_from_json(v) for v in row] for row in rows])
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise DimensionMismatch("matrix must be a JSON array of rows")
+    if len({len(row) for row in rows}) > 1:
+        raise DimensionMismatch("matrix rows differ in length")
+    return np.array([[_entry_from_json(v) for v in row] for row in rows], dtype=complex)
 
 
 def _vector_from_json(vals) -> np.ndarray:
-    return np.array([_entry_from_json(v) for v in vals])
+    if not isinstance(vals, list):
+        raise DimensionMismatch("vector must be a JSON array")
+    return np.array([_entry_from_json(v) for v in vals], dtype=complex)

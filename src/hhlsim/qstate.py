@@ -8,8 +8,10 @@ Conventions shared by every module in this package:
   such as ``|<a|b>|**2`` rather than component by component.
 
 Matrix exponentials are computed spectrally from the Hermitian
-eigendecomposition. Everything in scope is tiny (dimension at most a few
-hundred), so dense matrices are used throughout.
+eigendecomposition. The matrices here are the problem's own (the system
+matrix, its powers, single-qubit observables) and reduced density
+matrices, all small and dense. Gates on the full register never become
+dense matrices: ``circuit`` applies them by axis contraction.
 """
 from __future__ import annotations
 
@@ -38,6 +40,8 @@ def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT_ATOL) -> np.nda
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise NotHermitian("matrix has a non-finite entry")
     if np.max(np.abs(m - m.conj().T)) > atol:
         raise NotHermitian(f"matrix is not Hermitian within {atol}")
     return m
@@ -47,7 +51,7 @@ def check_normalized(vec: np.ndarray, atol: float = 1e-12) -> np.ndarray:
     vec = np.asarray(vec, dtype=complex)
     if vec.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {vec.shape}")
-    if abs(np.linalg.norm(vec) - 1.0) > atol:
+    if not abs(np.linalg.norm(vec) - 1.0) <= atol:
         raise NotNormalized(f"vector norm {np.linalg.norm(vec)!r} is not 1 within {atol}")
     return vec
 

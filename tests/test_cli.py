@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,38 @@ def test_solve_validation_failures(tmp_path, capsys):
         "solve", "--matrix", m, "--vector", v, "--c-const", "5.0",
     ])
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("which, text, message", [
+    ("matrix", "5", "array of rows"),
+    ("matrix", "null", "array of rows"),
+    ("matrix", "[[1, 0], [0]]", "differ in length"),
+    ("matrix", "[[1, 0], [0, null]]", "not a number"),
+    ("matrix", "[[true, 0], [0, 1]]", "not a number"),
+    ("matrix", "[[NaN, 0.5], [0.5, 1.5]]", "non-finite"),
+    ("matrix", "[[Infinity, 0.5], [0.5, 1.5]]", "non-finite"),
+    ("matrix", "[[1.5, [0.5, NaN]], [0.5, 1.5]]", "non-finite"),
+    ("vector", "5", "must be a JSON array"),
+    ("vector", "null", "must be a JSON array"),
+    ("vector", "[NaN, 0]", "non-finite"),
+    ("vector", "[1, -Infinity]", "non-finite"),
+])
+def test_solve_rejects_malformed_json(tmp_path, capsys, which, text, message):
+    m, v = write_problem(tmp_path)
+    (tmp_path / f"{which}.json").write_text(text)
+    code, out, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("c_const", ["nan", "inf"])
+def test_solve_rejects_non_finite_c(tmp_path, capsys, c_const):
+    m, v = write_problem(tmp_path)
+    code, out, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v, "--c-const", c_const])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_solve_vanishing_heralding(tmp_path, capsys):
@@ -257,15 +291,11 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_console_script_roundtrip(tmp_path):
-    first = subprocess.run(
-        [sys.executable, "-m", "hhlsim.cli", "paper", "--input", "b3", "--shots", "500"],
-        capture_output=True, text=True,
-    )
-    if first.returncode == 2 and "No module named" in first.stderr:
-        pytest.skip("package not importable as a module in this environment")
+    # the child imports the package under test, however this process found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "hhlsim.cli", "paper", "--input", "b3", "--shots", "500"]
+    first = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.returncode == 0
-    second = subprocess.run(
-        [sys.executable, "-m", "hhlsim.cli", "paper", "--input", "b3", "--shots", "500"],
-        capture_output=True, text=True,
-    )
+    second = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.stdout == second.stdout

@@ -41,6 +41,17 @@ def test_problem_validation():
         hhl.validate(hhl.HhlProblem(np.diag([0.0, 2.0]), B3, 2))
 
 
+def test_non_finite_inputs_rejected():
+    with pytest.raises(InvalidC):
+        hhl.HhlProblem(A_REF, B3, 2, c_const=math.nan)
+    with pytest.raises(DimensionMismatch):
+        hhl.HhlProblem(A_REF, B3, 2, t0=math.inf)
+    with pytest.raises(NotHermitian):
+        hhl.validate(hhl.HhlProblem(np.array([[math.nan, 0], [0, 1]]), B3, 2))
+    with pytest.raises(NotNormalized):
+        hhl.validate(hhl.HhlProblem(A_REF, np.array([math.nan, 0.0]), 2))
+
+
 def test_validate_classifies_spectrum():
     info = hhl.validate(ref_problem(B3))
     assert info.exact
@@ -158,6 +169,19 @@ def test_run_hhl_matches_eigenbasis_oracle():
         assert np.isclose(res.success_probability, p_want, atol=1e-10)
         assert res.fidelity_vs_classical >= 1 - 1e-9
         assert res.register_reset_ok
+
+
+def test_run_hhl_at_twelve_qubits():
+    # ten register bits: 1 + 10 + 1 qubits, past the reach of dense gates
+    p = hhl.HhlProblem(A_REF, B3, 10)
+    assert p.qubits == 12
+    res = hhl.run_hhl(p)
+    x_cl = hhl.classical_solve(A_REF, B3)
+    _, p_want = helpers.analytic_hhl(A_REF, B3)
+    assert abs(np.vdot(x_cl, res.x_state)) ** 2 >= 1 - 1e-10
+    assert res.fidelity_vs_classical >= 1 - 1e-9
+    assert np.isclose(res.success_probability, p_want, atol=1e-10)
+    assert res.register_reset_ok
 
 
 def test_custom_t0_rescales_register():
