@@ -17,6 +17,7 @@ from .errors import (
     NonUnitary,
     NotHermitian,
     NotNormalized,
+    NotPositiveDefinite,
     Singular,
     SimulationError,
     UnphysicalExpectations,
@@ -48,6 +49,7 @@ __all__ = [
     "NonUnitary",
     "NotHermitian",
     "NotNormalized",
+    "NotPositiveDefinite",
     "PauliExpectations",
     "PauliReport",
     "QubitRoles",

@@ -10,9 +10,11 @@ reference values 0.25, 1 and 0.625.
 
 Shot-based estimates replay the experiment: one sampling run per
 measurement setting (Z, X, Y), heralds measured alongside the rotated
-output qubit, records failing the herald discarded. Setting i draws
-from the stream keyed by 3*seed + i so the three settings are
-independent and every run is reproducible.
+output qubit, records failing the herald discarded. The gates before
+the circuit's first measurement run once per estimate; each setting
+samples only the rest, which gives the same histograms as sampling the
+whole circuit. Setting i draws from the stream keyed by 3*seed + i so
+the three settings are independent and every run is reproducible.
 """
 from __future__ import annotations
 
@@ -233,14 +235,10 @@ def _noisy_output(mode: str, vec: np.ndarray, noise: qc.NoiseSpec,
     if mode == "compiled":
         cfg = c2.CompiledConfig(input_b=vec, feedforward=feedforward)
         circ = c2.build_compiled_circuit(cfg)
-        out = qc.run(circ, density(c2.initial_state(cfg)), noise=noise)
-        rho = out.state
-        r = cfg.roles
-        if feedforward == "unitary":
-            rho, _ = qc.post_select_dm(rho, r.register_r1, 0)
-            rho, _ = qc.post_select_dm(rho, r.register_r2, 0)
-        rho, p = qc.post_select_dm(rho, r.ancilla, 1)
-        return partial_trace(rho, [r.input]), p
+        rho = qc.run(circ, density(c2.initial_state(cfg)), noise=noise).state
+        for wire, outcome in c2.heralds(cfg):
+            rho, p = qc.post_select_dm(rho, wire, outcome)
+        return partial_trace(rho, [cfg.roles.input]), p
     prob = reference_problem(vec)
     out = qc.run(pipeline_circuit(prob), density(initial_state(prob)), noise=noise)
     rho, p = qc.post_select_dm(out.state, 0, 1)
@@ -269,51 +267,58 @@ def _measurement_layout(mode: str, vec: np.ndarray, feedforward: str):
     if mode == "compiled":
         cfg = c2.CompiledConfig(input_b=vec, feedforward=feedforward)
         circ = c2.build_compiled_circuit(cfg)
-        init = c2.initial_state(cfg)
-        r = cfg.roles
-        if feedforward == "unitary":
-            heralds = [(r.register_r1, 0), (r.register_r2, 0), (r.ancilla, 1)]
-        else:
-            # register records were corrected by feedforward; only the
-            # ancilla outcome still gates acceptance
-            heralds = [(r.ancilla, 1)]
-        return circ, init, heralds, r.input
+        return circ, c2.initial_state(cfg), c2.heralds(cfg), cfg.roles.input
     return _problem_layout(reference_problem(vec))
 
 
-def _sample_setting(circ: qc.Circuit, init: np.ndarray, heralds, out_wire: int,
-                    which: str, shots: int, seed: int) -> ShotEstimate:
-    prior = sum(1 for op in circ.ops if isinstance(op, qc.Measure))
-    ops = list(circ.ops) + _basis_ops(which, out_wire)
-    slot = prior
-    accept: list[tuple[int, str]] = []
-    pos = prior
-    for q, want in heralds:
-        ops.append(qc.Measure(q, slot))
-        accept.append((pos, str(want)))
-        slot += 1
-        pos += 1
-    ops.append(qc.Measure(out_wire, slot))
-    counts = qc.sample_shots(qc.Circuit(circ.qubits, ops), init, shots, seed=seed)
-    n_acc = 0
-    total = 0
-    for rec, cnt in counts.items():
-        if all(rec[i] == want for i, want in accept):
-            n_acc += cnt
-            total += cnt if rec[pos] == "0" else -cnt
-    if n_acc == 0:
-        raise ZeroProbability("no shot passed the heralding cut")
-    value = total / n_acc
-    stderr = math.sqrt(max(0.0, 1.0 - value * value) / n_acc)
-    return ShotEstimate(value, stderr, n_acc)
+def _readout(circ: qc.Circuit, init: np.ndarray) -> tuple[qc.Circuit, np.ndarray]:
+    """Run the gates before the first measurement; return the rest and the state.
+
+    The prefix is applied exactly as :func:`circuit.enumerate_branches`
+    would apply it, so sampling the returned tail from the returned
+    state gives the same histograms as sampling the whole circuit.
+    """
+    split = next(
+        (i for i, op in enumerate(circ.ops) if not isinstance(op, qc.Gate)), len(circ.ops)
+    )
+    state = qc.run(qc.Circuit(circ.qubits, circ.ops[:split]), init).state
+    return qc.Circuit(circ.qubits, circ.ops[split:]), state
+
+
+def _sample_wires(tail: qc.Circuit, state: np.ndarray, ops: list, wires,
+                  shots: int, seed: int) -> dict[str, int]:
+    """Histogram of ``wires`` measured after ``tail`` and ``ops``.
+
+    Records carry one character per wire, in order; the outcomes of the
+    tail's own measurements are summed out.
+    """
+    prior = sum(1 for op in tail.ops if isinstance(op, qc.Measure))
+    measures = [qc.Measure(q, prior + i) for i, q in enumerate(wires)]
+    circ = qc.Circuit(tail.qubits, list(tail.ops) + list(ops) + measures)
+    counts: dict[str, int] = {}
+    for rec, n in qc.sample_shots(circ, state, shots, seed=seed).items():
+        counts[rec[prior:]] = counts.get(rec[prior:], 0) + n
+    return counts
 
 
 def _settings_estimates(circ, init, heralds, out_wire, shots: int, seed: int) -> ShotEstimates:
-    by = {
-        which: _sample_setting(circ, init, heralds, out_wire, which, shots, 3 * seed + i)
-        for i, which in enumerate(_SETTINGS)
-    }
-    return ShotEstimates(shots=shots, z=by["z"], x=by["x"], y=by["y"])
+    tail, state = _readout(circ, init)
+    wires = [q for q, _ in heralds] + [out_wire]
+    want = "".join(str(outcome) for _, outcome in heralds)
+    by = {}
+    for i, which in enumerate(_SETTINGS):
+        counts = _sample_wires(tail, state, _basis_ops(which, out_wire), wires, shots, 3 * seed + i)
+        n_acc = total = 0
+        for rec, cnt in counts.items():
+            if rec[:-1] == want:
+                n_acc += cnt
+                total += cnt if rec[-1] == "0" else -cnt
+        if n_acc == 0:
+            raise ZeroProbability("no shot passed the heralding cut")
+        value = total / n_acc
+        stderr = math.sqrt(max(0.0, 1.0 - value * value) / n_acc)
+        by[which] = ShotEstimate(value, stderr, n_acc)
+    return ShotEstimates(shots=shots, **by)
 
 
 def shot_estimates(mode: str, input_b, shots: int, seed: int = 0,
@@ -356,19 +361,15 @@ def sampled_success(mode: str, input_b, shots: int, seed: int = 0,
     """Heralding rate over seeded shots, conditional like the analytic value."""
     _, vec = _resolve_input(input_b)
     circ, init, heralds, _ = _measurement_layout(mode, vec, feedforward)
-    prior = sum(1 for op in circ.ops if isinstance(op, qc.Measure))
-    ops = list(circ.ops)
-    for i, (q, _want) in enumerate(heralds):
-        ops.append(qc.Measure(q, prior + i))
-    counts = qc.sample_shots(qc.Circuit(circ.qubits, ops), init, shots, seed=3 * seed)
+    tail, state = _readout(circ, init)
+    counts = _sample_wires(tail, state, [], [q for q, _ in heralds], shots, 3 * seed)
     # heralds end with the ancilla, the success event; the rest condition
-    cond = [(prior + i, str(want)) for i, (_q, want) in enumerate(heralds[:-1])]
-    anc_pos = prior + len(heralds) - 1
+    cond = "".join(str(outcome) for _, outcome in heralds[:-1])
     trials = successes = 0
     for rec, cnt in counts.items():
-        if all(rec[i] == want for i, want in cond):
+        if rec[:-1] == cond:
             trials += cnt
-            if rec[anc_pos] == "1":
+            if rec[-1] == "1":
                 successes += cnt
     if trials == 0:
         raise ZeroProbability("no shot passed the conditioning cut")

@@ -12,9 +12,9 @@ The statevector backend handles pure states, measurement collapse and
 classically conditioned gates; the density-matrix backend applies the
 same kernel to the rows and then to the columns, and additionally
 applies depolarizing noise after gate applications. At zero noise they
-agree to 1e-10, which the self test exercises. Projections on one
-qubit's outcome go through one helper, :func:`_project`, in both
-backends.
+agree to 1e-10, which the self test exercises. Projections and
+register readouts in both backends, and in the solvers built on them,
+go through one bit view, :func:`_bit_view`.
 
 Measurement randomness comes from a counter-based Philox generator
 keyed by (seed, shot index), so shot sampling is reproducible and
@@ -32,6 +32,9 @@ from .errors import BadFlag, BadIndex, DimensionMismatch, NonUnitary, ZeroProbab
 from .qstate import density, num_qubits, partial_trace
 
 UNITARY_ATOL = 1e-10
+# upper bound on sample_shots' shot count; its uniform draw holds
+# 8 bytes per shot and measured bit
+MAX_SHOTS = 10**6
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -402,34 +405,37 @@ def apply_gate(state: np.ndarray, g: Gate) -> np.ndarray:
     return _apply(np.array(state, dtype=complex), g)
 
 
-def _bit_view(arr: np.ndarray, qubit: int, bit: int) -> np.ndarray:
-    """Basic-index view of the entries whose ``qubit`` bit is ``bit``.
+def _bit_view(arr: np.ndarray, fixed: dict[int, int]) -> np.ndarray:
+    """Basic-index view of the entries whose bits match ``fixed``.
 
-    Every axis of ``arr`` has length 2**n and is split into n bit axes;
-    the bit is fixed on each of them, so for a density matrix the view
-    holds the rows and columns of that branch.
+    ``fixed`` maps qubit to bit. Every axis of ``arr`` has length 2**n
+    and is split into n bit axes; the bits are fixed on each of them,
+    so for a density matrix the view holds the rows and columns of that
+    branch. The free qubits stay as axes, most significant first, so a
+    flattened vector view is in ascending index order.
     """
     n = num_qubits(arr.shape[0])
     t = arr.reshape((2,) * (n * arr.ndim))
     idx = [slice(None)] * t.ndim
     for start in range(0, t.ndim, n):
-        idx[start + n - 1 - qubit] = bit
-    # the trailing Ellipsis keeps a one-qubit view an array, not a scalar
+        for qubit, bit in fixed.items():
+            idx[start + n - 1 - qubit] = bit
+    # the trailing Ellipsis keeps a fully fixed view an array, not a scalar
     return t[(*idx, Ellipsis)]
 
 
 def _project(arr: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
     """Copy of a statevector or density matrix with the other branch zeroed."""
     out = np.zeros_like(arr)
-    _bit_view(out, qubit, outcome)[...] = _bit_view(arr, qubit, outcome)
+    _bit_view(out, {qubit: outcome})[...] = _bit_view(arr, {qubit: outcome})
     return out
 
 
 def _p_one(arr: np.ndarray, qubit: int) -> float:
     """Probability of reading 1 on ``qubit``."""
     if arr.ndim == 1:
-        return float(np.sum(np.abs(_bit_view(arr, qubit, 1)) ** 2))
-    return float(np.sum(np.abs(_bit_view(np.diag(arr), qubit, 1))).real)
+        return float(np.sum(np.abs(_bit_view(arr, {qubit: 1})) ** 2))
+    return float(np.sum(np.abs(_bit_view(np.diag(arr), {qubit: 1}))).real)
 
 
 @dataclass(frozen=True)
@@ -607,6 +613,8 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     """
     if shots < 1:
         raise BadFlag(f"shots must be positive, got {shots}")
+    if shots > MAX_SHOTS:
+        raise BadFlag(f"shots must be at most {MAX_SHOTS}, got {shots}")
     branches = enumerate_branches(c, input)
     depth = len(branches[0].record)
     if depth == 0:

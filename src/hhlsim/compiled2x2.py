@@ -174,40 +174,37 @@ def build_compiled_circuit(cfg: CompiledConfig) -> qc.Circuit:
     return qc.Circuit(4, _phase_estimation_ops(cfg.roles) + _rotation_ops(cfg) + _readout_ops(cfg))
 
 
-def _extract_wire_state(state: np.ndarray, wire: int, fixed: dict[int, int]) -> np.ndarray:
-    """Read a single qubit's amplitudes once every other wire is fixed."""
-    base = 0
-    for q, bit in fixed.items():
-        base |= bit << q
-    out = np.array([state[base], state[base | (1 << wire)]])
-    return out / np.linalg.norm(out)
+def heralds(cfg: CompiledConfig) -> list[tuple[int, int]]:
+    """(wire, outcome) pairs a run is kept on, in post-selection order.
+
+    The unitary readout keeps the registers on |0> and then the ancilla
+    on |1>; the semiclassical one keeps the ancilla alone, since its
+    conditional flips make every register record equivalent.
+    """
+    r = cfg.roles
+    regs = [(r.register_r1, 0), (r.register_r2, 0)] if cfg.feedforward == "unitary" else []
+    return regs + [(r.ancilla, 1)]
 
 
 def run_compiled(cfg: CompiledConfig, seed: int = 0) -> HhlResult:
-    """Execute the compiled circuit and post-select the heralding outcome.
+    """Execute the compiled circuit and post-select on :func:`heralds`.
 
-    The ancilla is post-selected on |1> and the registers on |0> (the
-    recorded outcome already plays that role in semiclassical mode, where
-    the conditional flips make every record equivalent). The reported
-    success probability is the ancilla branch probability, which in both
-    modes equals sum_j |beta_j|^2 sin^2(2 theta_j).
+    The output wire is read with every other wire fixed: the ancilla on
+    |1>, the registers on |0> after the unitary readout and on their
+    recorded outcomes after the semiclassical one. The reported success
+    probability is the ancilla branch probability, post-selected last,
+    which in both modes equals sum_j |beta_j|^2 sin^2(2 theta_j).
     """
     r = cfg.roles
     circ = build_compiled_circuit(cfg)
     out = qc.run(circ, initial_state(cfg), seed=seed)
     state = out.state
-    fixed: dict[int, int] = {}
-    if cfg.feedforward == "unitary":
-        state, _ = qc.post_select(state, r.register_r1, 0)
-        state, _ = qc.post_select(state, r.register_r2, 0)
-        fixed[r.register_r1] = 0
-        fixed[r.register_r2] = 0
-    else:
-        fixed[r.register_r1] = out.classical_bits[0]
-        fixed[r.register_r2] = out.classical_bits[1]
-    state, p_success = qc.post_select(state, r.ancilla, 1)
-    fixed[r.ancilla] = 1
-    x = _extract_wire_state(state, r.input, fixed)
+    for wire, outcome in heralds(cfg):
+        state, p_success = qc.post_select(state, wire, outcome)
+    bits = out.classical_bits
+    fixed = {r.register_r1: bits.get(0, 0), r.register_r2: bits.get(1, 0), r.ancilla: 1}
+    x = qc._bit_view(state, fixed)
+    x = x / np.linalg.norm(x)
 
     b = input_vector(cfg)
     fid = state_fidelity(classical_solve(SYSTEM_MATRIX, b), x)
@@ -217,9 +214,8 @@ def run_compiled(cfg: CompiledConfig, seed: int = 0) -> HhlResult:
     pe = _phase_estimation_ops(r)
     probe = qc.Circuit(4, pe + _rotation_ops(cfg) + list(qc.Circuit(4, pe).inverse().ops))
     probe_state = qc.run(probe, initial_state(cfg)).state
-    reg_mask = (1 << r.register_r1) | (1 << r.register_r2)
-    idx = np.arange(16)
-    residual = float(np.sum(np.abs(probe_state[(idx & reg_mask) != 0]) ** 2))
+    zero = qc._bit_view(probe_state, {r.register_r1: 0, r.register_r2: 0})
+    residual = 1.0 - float(np.sum(np.abs(zero) ** 2))
 
     census = circ.gate_census()
     census["entangling"] = circ.entangling_count()

@@ -33,6 +33,10 @@ class Singular(SimulationError):
     """A matrix required to be invertible is singular within tolerance."""
 
 
+class NotPositiveDefinite(SimulationError):
+    """A matrix required to be positive definite has a negative eigenvalue."""
+
+
 class InvalidC(SimulationError):
     """The rotation constant C produces an amplitude above one."""
 

@@ -1,10 +1,10 @@
 """Generic quantum linear-system pipeline.
 
-Solves A x = b for Hermitian A by phase estimation, an eigenvalue-
-conditioned ancilla rotation and the inverse phase estimation, then
-post-selects the ancilla on |1>. The output state is proportional to
-sum_j beta_j * (C / lambda_j) |u_j>, the normalized classical solution
-when the heralding outcome occurs.
+Solves A x = b for Hermitian positive-definite A by phase estimation,
+an eigenvalue-conditioned ancilla rotation and the inverse phase
+estimation, then post-selects the ancilla on |1>. The output state is
+proportional to sum_j beta_j * (C / lambda_j) |u_j>, the normalized
+classical solution when the heralding outcome occurs.
 
 Qubit layout on 1 + n + m qubits (m = log2 of the system dimension):
 
@@ -26,13 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as qc
-from .errors import DimensionMismatch, InvalidC, NotNormalized, Singular
+from .errors import DimensionMismatch, InvalidC, NotNormalized, NotPositiveDefinite, Singular
 from .qstate import EigenDecomposition, check_hermitian, eigh, exp_unitary, state_fidelity
 
 TWO_PI = 2.0 * math.pi
 
 # eigenvector weight below which a register value counts as unpopulated
 POPULATED_ATOL = 1e-12
+
+# widest eigenvalue register accepted. A solve costs about 4x per extra
+# bit (state and rotation circuit both double): a 2x2 solve took ~24 s at
+# 13 bits on one Xeon core, and 30 bits on a 2x2 system would need a 64 GiB
+# statevector.
+MAX_REGISTER_BITS = 13
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,10 @@ class HhlProblem:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
         if self.n_register < 1:
             raise DimensionMismatch(f"need at least one register qubit, got {self.n_register}")
+        if self.n_register > MAX_REGISTER_BITS:
+            raise DimensionMismatch(
+                f"at most {MAX_REGISTER_BITS} register qubits are supported, got {self.n_register}"
+            )
         if not 0 < self.t0 < math.inf:
             raise DimensionMismatch(f"t0 must be positive and finite, got {self.t0}")
         if self.c_const is not None and not 0 < self.c_const < math.inf:
@@ -115,6 +125,11 @@ def validate(p: HhlProblem) -> ValidationInfo:
     mags = np.abs(spectrum.eigenvalues)
     if mags.min() < 1e-10:
         raise Singular("matrix is singular: an eigenvalue sits within 1e-10 of zero")
+    lam_min = float(spectrum.eigenvalues.min())
+    if lam_min < 0:
+        # the register holds unsigned values: a negative eigenvalue would
+        # wrap around to a large positive one
+        raise NotPositiveDefinite(f"matrix has negative eigenvalue {lam_min!r}")
     top = (1 << p.n_register) - 1
     exact = True
     for lam in spectrum.eigenvalues:
@@ -236,12 +251,8 @@ def initial_state(p: HhlProblem) -> np.ndarray:
 
 def _register_zero_weight(p: HhlProblem, state: np.ndarray) -> float:
     """Probability of reading all-zeros on the register qubits."""
-    idx = np.arange(state.size)
-    mask = 0
-    for q in p.register_qubits():
-        mask |= 1 << q
-    zero = (idx & mask) == 0
-    return float(np.sum(np.abs(state[zero]) ** 2))
+    zero = qc._bit_view(state, dict.fromkeys(p.register_qubits(), 0))
+    return float(np.sum(np.abs(zero) ** 2))
 
 
 def run_hhl(p: HhlProblem) -> HhlResult:
@@ -271,8 +282,7 @@ def run_hhl(p: HhlProblem) -> HhlResult:
     for q in p.register_qubits():
         state, _ = qc.post_select(state, q, 0)
 
-    shift = 1 + p.n_register
-    x = np.array([state[(j << shift) | 1] for j in range(p.dim)])
+    x = qc._bit_view(state, {0: 1, **dict.fromkeys(p.register_qubits(), 0)}).reshape(-1)
     x = x / np.linalg.norm(x)
 
     pipe = pe.then(rot).then(inv)

@@ -373,6 +373,8 @@ def test_sample_shots_deterministic_and_prefix_stable():
     assert cq.sample_shots(c, init, 100, seed=6) != h1 or True  # seeds vary freely
     with pytest.raises(BadFlag):
         cq.sample_shots(c, init, 0)
+    with pytest.raises(BadFlag):
+        cq.sample_shots(c, init, cq.MAX_SHOTS + 1)
 
 
 def test_sample_shots_no_measurements():

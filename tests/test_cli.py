@@ -111,6 +111,14 @@ def test_solve_validation_failures(tmp_path, capsys):
         "solve", "--matrix", m, "--vector", v, "--c-const", "5.0",
     ])
     assert code == 2 and "error:" in err
+    # indefinite matrix: a negative eigenvalue would wrap around the register
+    m, v = write_problem(tmp_path, matrix=[[1.0, 0.0], [0.0, -1.0]], vector=(0.6, 0.8))
+    code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
+    assert code == 2 and "negative eigenvalue -1.0" in err
+    # register too wide to allocate
+    m, v = write_problem(tmp_path)
+    code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v, "--register-bits", "30"])
+    assert code == 2 and "register qubits" in err
 
 
 @pytest.mark.parametrize("which, text, message", [
@@ -205,6 +213,9 @@ def test_paper_flag_rejection(capsys):
         "paper", "--mode", "generic", "--feedforward", "semiclassical",
     ])
     assert code == 2 and "error:" in err
+    # a shot count whose uniform draw would not fit in memory
+    code, _, err = run_cli(capsys, ["paper", "--input", "b3", "--shots", "1000000000000000"])
+    assert code == 2 and "shots must be at most" in err
 
 
 def test_paper_deterministic_output(capsys):

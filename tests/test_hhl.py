@@ -11,6 +11,7 @@ from hhlsim.errors import (
     InvalidC,
     NotHermitian,
     NotNormalized,
+    NotPositiveDefinite,
     Singular,
 )
 
@@ -28,6 +29,8 @@ def test_problem_validation():
     with pytest.raises(DimensionMismatch):
         hhl.HhlProblem(A_REF, B3, 0)
     with pytest.raises(DimensionMismatch):
+        hhl.HhlProblem(A_REF, B3, hhl.MAX_REGISTER_BITS + 1)
+    with pytest.raises(DimensionMismatch):
         hhl.HhlProblem(A_REF, B3, 2, t0=-1.0)
     with pytest.raises(InvalidC):
         hhl.HhlProblem(A_REF, B3, 2, c_const=0.0)
@@ -39,6 +42,9 @@ def test_problem_validation():
         hhl.validate(hhl.HhlProblem(np.array([[1, 1], [0, 1]]), B3, 2))
     with pytest.raises(Singular):
         hhl.validate(hhl.HhlProblem(np.diag([0.0, 2.0]), B3, 2))
+    # an unsigned register would wrap a negative eigenvalue around
+    with pytest.raises(NotPositiveDefinite, match="negative eigenvalue -2.0"):
+        hhl.validate(hhl.HhlProblem(np.diag([-2.0, 1.0]), B3, 2))
 
 
 def test_non_finite_inputs_rejected():

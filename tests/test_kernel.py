@@ -1,9 +1,12 @@
-"""The axis-contraction gate kernel against the brute-force embedding.
+"""The axis-contraction gate kernel and the bit view against brute force.
 
 Every backend path (statevector run, density-matrix run, the full
 unitary) must agree with ``helpers.embed_naive`` on random gates: any
 width, targets in any order and not necessarily adjacent, and controls.
+The bit view every projection and readout goes through must agree with
+``helpers.postselect_bits`` on vectors and density matrices.
 """
+import math
 import tracemalloc
 
 import numpy as np
@@ -69,6 +72,50 @@ def test_density_matrix_run_matches_naive_embedding(case):
 def test_embedded_unitary_matches_naive_embedding(case):
     n, g, _ = case
     assert np.max(np.abs(cq.embedded_unitary(g, n) - naive_operator(g, n))) < ATOL
+
+
+@st.composite
+def fixed_bits(draw):
+    """(width, {qubit: bit}, rng): 1-3 fixed qubits on 1-6 qubits."""
+    n = draw(st.integers(1, 6))
+    wires = draw(st.permutations(range(n)))[:draw(st.integers(1, min(3, n)))]
+    fixed = {q: draw(st.integers(0, 1)) for q in wires}
+    return n, fixed, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_bits())
+def test_bit_view_matches_postselection_on_vectors(case):
+    n, fixed, rng = case
+    psi = random_state(rng, n)
+    ref, p = helpers.postselect_bits(psi, fixed)
+    kept = np.flatnonzero(ref)
+    view = cq._bit_view(psi, fixed)
+    # free qubits most significant first: flattened, the view runs in index order
+    assert view.shape == (2,) * (n - len(fixed))
+    assert np.max(np.abs(view.reshape(-1) - math.sqrt(p) * ref[kept])) < ATOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_bits())
+def test_bit_view_matches_postselection_on_density_matrices(case):
+    n, fixed, rng = case
+    states = [random_state(rng, n) for _ in range(3)]
+    weights = rng.dirichlet(np.ones(3))
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, states))
+    # P rho P from the post-selected pure components
+    projected = np.zeros_like(rho)
+    for w, v in zip(weights, states):
+        out, p = helpers.postselect_bits(v, fixed)
+        projected += w * p * np.outer(out, out.conj())
+    kept = np.flatnonzero(helpers.postselect_bits(np.ones(1 << n, dtype=complex), fixed)[0])
+    view = cq._bit_view(rho, fixed)
+    assert view.shape == (2,) * (2 * (n - len(fixed)))
+    block = view.reshape(len(kept), len(kept))
+    assert np.max(np.abs(block - projected[np.ix_(kept, kept)])) < ATOL
+    # the view is writable into the original: zeroing it removes the branch
+    cq._bit_view(rho, fixed)[...] = 0
+    assert np.max(np.abs(rho[np.ix_(kept, kept)])) == 0
 
 
 def test_run_does_not_allocate_dense_operators():
