@@ -26,6 +26,7 @@ import numpy as np
 
 from . import circuit as qc
 from . import compiled2x2 as c2
+from . import hhl
 from .errors import BadFlag, DimensionMismatch, UnphysicalExpectations, ZeroProbability
 from .hhl import HhlProblem, classical_solve, initial_state, pipeline_circuit, run_hhl
 from .qstate import density, fidelity, partial_trace, tensor
@@ -231,18 +232,13 @@ def _resolve_input(name_or_vec) -> tuple[str, np.ndarray]:
 
 def _noisy_output(mode: str, vec: np.ndarray, noise: qc.NoiseSpec,
                   feedforward: str) -> tuple[np.ndarray, float]:
-    """Density-matrix run of one input; returns (output qubit rho, heralding p)."""
-    if mode == "compiled":
-        cfg = c2.CompiledConfig(input_b=vec, feedforward=feedforward)
-        circ = c2.build_compiled_circuit(cfg)
-        rho = qc.run(circ, density(c2.initial_state(cfg)), noise=noise).state
-        for wire, outcome in c2.heralds(cfg):
-            rho, p = qc.post_select_dm(rho, wire, outcome)
-        return partial_trace(rho, [cfg.roles.input]), p
-    prob = reference_problem(vec)
-    out = qc.run(pipeline_circuit(prob), density(initial_state(prob)), noise=noise)
-    rho, p = qc.post_select_dm(out.state, 0, 1)
-    return partial_trace(rho, list(prob.input_qubits())), p
+    """Density-matrix run of one input, cut on the layout's heralds in order;
+    returns (output qubit rho, ancilla p conditional on any register cut)."""
+    circ, init, heralds, out_wire = _measurement_layout(mode, vec, feedforward)
+    rho = qc.run(circ, density(init), noise=noise).state
+    for wire, outcome in heralds:
+        rho, p = qc.post_select_dm(rho, wire, outcome)
+    return partial_trace(rho, [out_wire]), p
 
 
 _SETTINGS = ("z", "x", "y")
@@ -258,8 +254,7 @@ def _basis_ops(which: str, wire: int) -> list:
 
 
 def _problem_layout(prob: HhlProblem):
-    heralds = [(q, 0) for q in prob.register_qubits()] + [(0, 1)]
-    return pipeline_circuit(prob), initial_state(prob), heralds, 1 + prob.n_register
+    return pipeline_circuit(prob), initial_state(prob), hhl.heralds(prob), 1 + prob.n_register
 
 
 def _measurement_layout(mode: str, vec: np.ndarray, feedforward: str):
@@ -345,10 +340,10 @@ def problem_shot_estimates(prob: HhlProblem, shots: int, seed: int = 0) -> ShotE
 class SampledSuccess:
     """Shot estimate of the heralding probability.
 
-    ``trials`` counts the shots inside the conditioning cut (everything
-    for the generic and semiclassical layouts, the register projection
-    for the unitary compiled readout), so the estimate is binomial with
-    that denominator.
+    ``trials`` counts the shots inside the conditioning cut (the register
+    on all-zeros for the generic layout and the unitary compiled readout,
+    everything for the semiclassical one), so the estimate is binomial
+    with that denominator.
     """
 
     estimate: float
@@ -427,16 +422,11 @@ def build_pauli_report(mode: str = "generic", feedforward: str = "unitary",
 def noise_sweep(mode: str, p_list, feedforward: str = "unitary",
                 inputs=("b1", "b2", "b3")) -> list[tuple[float, str, float]]:
     """Rows of (depolarizing p, input name, solution fidelity)."""
-    if mode not in ("generic", "compiled"):
-        raise BadFlag(f"unknown mode {mode!r}")
-    rows = []
-    for p in p_list:
-        noise = qc.NoiseSpec(p_depolarizing=float(p))
-        for input_b in inputs:
-            name, vec = _resolve_input(input_b)
-            rho_out, _ = _noisy_output(mode, vec, noise, feedforward)
-            rows.append((float(p), name, fidelity(classical_solve(c2.SYSTEM_MATRIX, vec), rho_out)))
-    return rows
+    return [
+        (float(p), e.input, e.fidelity)
+        for p in p_list
+        for e in build_pauli_report(mode, feedforward, qc.NoiseSpec(float(p)), inputs=inputs).entries
+    ]
 
 
 def _expectations_dict(e: PauliExpectations) -> dict:

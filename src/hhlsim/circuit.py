@@ -161,7 +161,13 @@ def swap(a: int, b: int) -> Gate:
 
 
 def unitary(matrix: np.ndarray, targets, name: str = "unitary") -> Gate:
-    """Wrap an explicit unitary acting on ``targets``."""
+    """Wrap an explicit unitary acting on ``targets``.
+
+    Stock gate and op kind names are refused: :meth:`Gate.dagger` and the
+    JSON form would treat the gate as the stock one and drop its matrix.
+    """
+    if name in _STOCK_KINDS or name in ("measure", "conditional"):
+        raise BadIndex(f"gate name {name!r} is reserved for a built-in op")
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"unitary must be square, got shape {m.shape}")

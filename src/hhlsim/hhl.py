@@ -2,9 +2,9 @@
 
 Solves A x = b for Hermitian positive-definite A by phase estimation,
 an eigenvalue-conditioned ancilla rotation and the inverse phase
-estimation, then post-selects the ancilla on |1>. The output state is
-proportional to sum_j beta_j * (C / lambda_j) |u_j>, the normalized
-classical solution when the heralding outcome occurs.
+estimation. Runs are kept on :func:`heralds`, the register on all-zeros
+and the ancilla on |1>; the output state is then proportional to
+sum_j beta_j * (C / lambda_j) |u_j>, the normalized classical solution.
 
 Qubit layout on 1 + n + m qubits (m = log2 of the system dimension):
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as qc
-from .errors import DimensionMismatch, InvalidC, NotNormalized, NotPositiveDefinite, Singular
+from .errors import DimensionMismatch, InvalidC, NotNormalized, NotPositiveDefinite, Singular, ZeroProbability
 from .qstate import EigenDecomposition, check_hermitian, eigh, exp_unitary, state_fidelity
 
 TWO_PI = 2.0 * math.pi
@@ -133,7 +133,10 @@ def validate(p: HhlProblem) -> ValidationInfo:
     top = (1 << p.n_register) - 1
     exact = True
     for lam in spectrum.eigenvalues:
-        k = lam * p.t0 / TWO_PI
+        # Python float arithmetic overflows to inf without a numpy warning
+        k = float(lam) * p.t0 / TWO_PI
+        if not math.isfinite(k):
+            raise DimensionMismatch(f"eigenvalue {float(lam)!r} at t0 = {p.t0!r} overflows the register")
         if abs(k - round(k)) > 1e-9 or not 1 <= round(k) <= top:
             exact = False
     return ValidationInfo(float(mags.max() / mags.min()), exact, spectrum)
@@ -229,7 +232,10 @@ def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if sing.min() < 1e-10 * max(1.0, sing.max()):
         raise Singular("matrix is singular within tolerance")
     x = np.linalg.solve(a, b)
-    return x / np.linalg.norm(x)
+    norm = np.linalg.norm(x)
+    if not 0 < norm < math.inf:
+        raise NotNormalized(f"the solution cannot be normalized: its norm is {float(norm)!r}")
+    return x / norm
 
 
 def success_probability(p: HhlProblem) -> float:
@@ -249,6 +255,12 @@ def initial_state(p: HhlProblem) -> np.ndarray:
     return vec
 
 
+def heralds(p: HhlProblem) -> list[tuple[int, int]]:
+    """(wire, outcome) pairs a run is kept on: each register qubit on |0>,
+    then the ancilla on |1>, the order of :func:`compiled2x2.heralds`."""
+    return [(q, 0) for q in p.register_qubits()] + [(0, 1)]
+
+
 def _register_zero_weight(p: HhlProblem, state: np.ndarray) -> float:
     """Probability of reading all-zeros on the register qubits."""
     zero = qc._bit_view(state, dict.fromkeys(p.register_qubits(), 0))
@@ -258,10 +270,10 @@ def _register_zero_weight(p: HhlProblem, state: np.ndarray) -> float:
 def run_hhl(p: HhlProblem) -> HhlResult:
     """Execute the full pipeline and post-select the ancilla on |1>.
 
-    The reported success probability is the ancilla heralding
-    probability. The solution state is read off the solution qubits
-    after also conditioning the register on all-zeros, which is the
-    identity on exact spectra and an honest projection otherwise.
+    The reported success probability is the ancilla marginal. The
+    solution is read with every wire of :func:`heralds` fixed, so the
+    register is also conditioned on all-zeros, which is the identity
+    on exact spectra and an honest projection otherwise.
     """
     info = validate(p)
     pe = phase_estimation_circuit(p)
@@ -279,11 +291,12 @@ def run_hhl(p: HhlProblem) -> HhlResult:
     state, p_success = qc.post_select(state, 0, 1)
     residual = 1.0 - _register_zero_weight(p, state)
     register_reset_ok = residual < 1e-10
-    for q in p.register_qubits():
-        state, _ = qc.post_select(state, q, 0)
 
-    x = qc._bit_view(state, {0: 1, **dict.fromkeys(p.register_qubits(), 0)}).reshape(-1)
-    x = x / np.linalg.norm(x)
+    x = qc._bit_view(state, dict(heralds(p))).reshape(-1)
+    norm = np.linalg.norm(x)
+    if norm < 1e-14:
+        raise ZeroProbability("projection of the register on all-zeros has vanishing norm")
+    x = x / norm
 
     pipe = pe.then(rot).then(inv)
     census = pipe.gate_census()

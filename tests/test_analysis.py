@@ -6,7 +6,7 @@ import pytest
 from hhlsim import analysis as an
 from hhlsim import circuit as cq
 from hhlsim import compiled2x2 as cp
-from hhlsim import qstate
+from hhlsim import hhl, qstate
 from hhlsim.errors import BadFlag, DimensionMismatch, UnphysicalExpectations
 
 X_CL_B3 = np.array([3.0, -1.0]) / math.sqrt(10)
@@ -186,6 +186,48 @@ def test_noise_sweep_monotone():
             assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:]))
     with pytest.raises(BadFlag):
         an.noise_sweep("other", [0.1])
+
+
+def test_generic_noisy_output_cuts_on_register_and_ancilla():
+    # reference from basis-index masks; wires: ancilla 0, register 1-2, output 3
+    prob = an.reference_problem(np.array([1.0, 0.0]))
+    noise = cq.NoiseSpec(0.05)
+    rho = cq.run(hhl.pipeline_circuit(prob), qstate.density(hhl.initial_state(prob)), noise).state
+    idx = np.arange(16)
+    reset = idx[(idx >> 1) & 0b11 == 0]
+    kept = reset[reset & 1 == 1]
+    block = rho[np.ix_(kept, kept)]
+    p_want = np.trace(block).real / np.trace(rho[np.ix_(reset, reset)]).real
+    f_want = np.vdot(X_CL_B3, block @ X_CL_B3).real / np.trace(block).real
+    [(_, _, fid)] = an.noise_sweep("generic", [0.05], inputs=("b3",))
+    entry = an.build_pauli_report("generic", noise=noise, inputs=("b3",)).entries[0]
+    assert abs(fid - f_want) < 1e-12 and entry.fidelity == fid
+    assert abs(entry.success_probability - p_want) < 1e-12
+    assert round(fid, 6) == 0.866381
+    assert round(entry.success_probability, 6) == 0.602055
+
+
+# exact compiled sweep rows: the compiled noisy readout may not move by a bit
+COMPILED_SWEEP = {
+    "unitary": [
+        (0.0, "b1", 1.0), (0.0, "b2", 1.0), (0.0, "b3", 0.9989498785251186),
+        (0.1, "b1", 0.7799168654516699), (0.1, "b2", 0.8780414730493988),
+        (0.1, "b3", 0.7223914740567454), (0.35, "b1", 0.572217591052109),
+        (0.35, "b2", 0.6126908302863796), (0.35, "b3", 0.5216928861365288),
+    ],
+    "semiclassical": [
+        (0.0, "b1", 1.0), (0.0, "b2", 1.0), (0.0, "b3", 0.9989498785251186),
+        (0.1, "b1", 0.7267326610158528), (0.1, "b2", 0.8062135931700131),
+        (0.1, "b3", 0.6801370939859639), (0.35, "b1", 0.5305119322195161),
+        (0.35, "b2", 0.5476118757959955), (0.35, "b3", 0.5091652443926833),
+    ],
+}
+
+
+@pytest.mark.parametrize("feedforward", list(COMPILED_SWEEP))
+def test_compiled_noise_sweep_is_frozen(feedforward):
+    rows = an.noise_sweep("compiled", [0.0, 0.1, 0.35], feedforward=feedforward)
+    assert rows == COMPILED_SWEEP[feedforward]
 
 
 def test_full_depolarizing_scrambles_output():

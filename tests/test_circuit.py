@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from hhlsim import circuit as cq
@@ -13,6 +15,7 @@ from hhlsim.errors import (
     NonUnitary,
     ZeroProbability,
 )
+from test_kernel import gates
 
 
 def random_1q(rng):
@@ -43,6 +46,10 @@ def test_gate_validation():
         cq.unitary(np.array([[1, 1], [0, 1]]), [0])
     with pytest.raises(DimensionMismatch):
         cq.unitary(np.ones((2, 3)), [0, 1])
+    # a custom matrix under a built-in name would invert and serialize as the built-in
+    for name in ("h", "phase", "h_theta", "swap", "measure", "conditional"):
+        with pytest.raises(BadIndex):
+            cq.unitary(np.eye(2), [0], name=name)
 
 
 def test_entangling_flags():
@@ -415,6 +422,39 @@ def test_serialization_roundtrip():
     assert cq.Circuit.from_json_dict(c.to_json_dict()) == c
     # matrices survive bit for bit, so downstream numerics are identical
     assert np.array_equal(back.ops[6].matrix, c.ops[6].matrix)
+
+
+@st.composite
+def circuits(draw):
+    """Gates from ``gates()`` and stock gates, each optionally preceded by a
+    measurement and, once a slot is written, optionally conditioned on one."""
+    drawn = draw(st.lists(gates(), min_size=1, max_size=4))
+    width = max(n for n, _, _ in drawn)
+    wire = st.integers(0, width - 1)
+    angle = st.floats(-4.0, 4.0)
+    stock = st.one_of(st.builds(cq.x, wire), st.builds(cq.h, wire),
+                      st.builds(cq.phase, wire, angle), st.builds(cq.h_theta, wire, angle))
+    measured = draw(st.booleans())
+    ops: list = []
+    slots = 0
+    for _, g, _ in drawn:
+        for op in (g, draw(stock)):
+            if measured and draw(st.booleans()):
+                ops.append(cq.Measure(draw(wire), slots))
+                slots += 1
+            if slots and draw(st.booleans()):
+                op = cq.ConditionalGate(op, draw(st.integers(0, slots - 1)), draw(st.integers(0, 1)))
+            ops.append(op)
+    return cq.Circuit(width, ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuits())
+def test_json_round_trip_property(c):
+    back = cq.Circuit.from_json(c.to_json())
+    assert back == c
+    if all(isinstance(op, cq.Gate) for op in c.ops):
+        assert np.array_equal(back.unitary_matrix(), c.unitary_matrix())
 
 
 def test_apply_gate():

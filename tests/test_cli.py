@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hhlsim import cli
 
@@ -34,7 +39,7 @@ def test_solve_reference(tmp_path, capsys):
     ])
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc["schema_version"] == "1"
+    assert doc["schema_version"] == "2"
     assert doc["command"] == "solve"
     assert doc["config"]["register_bits"] == 2
     res = doc["result"]
@@ -119,6 +124,14 @@ def test_solve_validation_failures(tmp_path, capsys):
     m, v = write_problem(tmp_path)
     code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v, "--register-bits", "30"])
     assert code == 2 and "register qubits" in err
+    # eigenvalues whose register image overflows to infinity
+    m, v = write_problem(tmp_path, matrix=[[1e308, 0.0], [0.0, 1e308]])
+    code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
+    assert code == 2 and "overflows the register" in err
+    # a classical solution whose norm underflows to zero
+    m, v = write_problem(tmp_path, matrix=[[1e200, 0.0], [0.0, 3e200]])
+    code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
+    assert code == 2 and "cannot be normalized" in err
 
 
 @pytest.mark.parametrize("which, text, message", [
@@ -142,6 +155,75 @@ def test_solve_rejects_malformed_json(tmp_path, capsys, which, text, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+# finite reals from 1e-300 to 1e300 in magnitude, and small ones near the spectrum scale
+REALS = st.one_of(
+    st.floats(-8.0, 8.0),
+    st.builds(lambda sign, mant, exp: sign * mant * 10.0**exp,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 9.9), st.integers(-300, 299)),
+)
+ENTRIES = st.one_of(REALS, st.lists(REALS, min_size=2, max_size=2))
+
+
+def _conj(entry):
+    return [entry[0], -entry[1]] if isinstance(entry, list) else entry
+
+
+@st.composite
+def solve_inputs(draw):
+    """(matrix, vector, register bits, C or None) as the solve command reads them."""
+    dim = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["diagonal", "hermitian", "any", "ragged"]))
+    if shape == "ragged":
+        matrix = [draw(st.lists(ENTRIES, min_size=1, max_size=4)) for _ in range(dim)]
+    elif shape == "any":
+        matrix = [[draw(ENTRIES) for _ in range(dim)] for _ in range(dim)]
+    else:
+        matrix = [[0.0] * dim for _ in range(dim)]
+        for i in range(dim):
+            matrix[i][i] = abs(draw(REALS)) if shape == "diagonal" else draw(REALS)
+            for j in range(i + 1, dim):
+                if shape == "hermitian":
+                    matrix[i][j] = draw(ENTRIES)
+                    matrix[j][i] = _conj(matrix[i][j])
+    size = draw(st.sampled_from([dim, dim, dim, dim + 1]))
+    vector = [draw(ENTRIES) for _ in range(size)]
+    b = np.array([complex(*v) if isinstance(v, list) else v for v in vector])
+    norm = np.linalg.norm(b)
+    if draw(st.booleans()) and 0 < norm < math.inf:
+        vector = [[v.real, v.imag] for v in b / norm]
+    c_const = draw(st.one_of(st.none(), REALS))
+    return matrix, vector, draw(st.integers(1, 3)), c_const
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=200, deadline=None)
+@example(([[1e308, 0.0], [0.0, 1e308]], [1.0, 0.0], 2, None))
+@example(([[1e200, 0.0], [0.0, 3e200]], [1.0, 0.0], 2, None))
+@given(solve_inputs())
+def test_solve_fuzz_keeps_exit_contract(case):
+    matrix, vector, bits, c_const = case
+    with tempfile.TemporaryDirectory() as tmp:
+        m, v = Path(tmp) / "matrix.json", Path(tmp) / "vector.json"
+        m.write_text(json.dumps(matrix))
+        v.write_text(json.dumps(vector))
+        argv = ["solve", "--matrix", str(m), "--vector", str(v), "--register-bits", str(bits)]
+        if c_const is not None:
+            # one token, so that argparse does not read a negative value as an option
+            argv.append(f"--c-const={c_const!r}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    if code == 0:
+        _strict_json(out.getvalue())
 
 
 @pytest.mark.parametrize("c_const", ["nan", "inf"])
