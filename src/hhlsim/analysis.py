@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -132,8 +131,6 @@ FRAME_OPS = {
 }
 """Per-qubit frame candidates; names are operator products, rightmost first."""
 
-FRAME_SEARCH_ORDER = ("I", "X", "Z", "H", "HX", "XH")
-
 
 def apply_frame(state: np.ndarray, frame: dict[int, str]) -> np.ndarray:
     """Apply one local operation per qubit; missing qubits get identity."""
@@ -141,27 +138,6 @@ def apply_frame(state: np.ndarray, frame: dict[int, str]) -> np.ndarray:
     n = arr.size.bit_length() - 1
     mats = [FRAME_OPS[frame.get(q, "I")] for q in range(n - 1, -1, -1)]
     return tensor(*mats) @ arr
-
-
-def best_ghz_frame(state: np.ndarray) -> tuple[dict[int, str], float]:
-    """Search the frame set on all four qubits for maximal GHZ overlap.
-
-    Deterministic: candidates are scanned in a fixed order and ties keep
-    the first hit, so the identity-heavy frame wins when several reach
-    the same fidelity.
-    """
-    arr = np.asarray(state, dtype=complex)
-    if arr.shape != (16,):
-        raise DimensionMismatch(f"expected a 4-qubit statevector, got shape {arr.shape}")
-    best: tuple[dict[int, str], float] = ({}, -1.0)
-    for names in product(FRAME_SEARCH_ORDER, repeat=4):
-        frame = {q: names[q] for q in range(4)}
-        f = ghz_fidelity(apply_frame(arr, frame))
-        if f > best[1] + 1e-12:
-            best = (frame, f)
-            if f > 1.0 - 1e-12:
-                break
-    return best
 
 
 COMPILED_GHZ_FRAME: dict[int, str] = {
@@ -237,7 +213,7 @@ def _noisy_output(mode: str, vec: np.ndarray, noise: qc.NoiseSpec,
     circ, init, heralds, out_wire = _measurement_layout(mode, vec, feedforward)
     rho = qc.run(circ, density(init), noise=noise).state
     for wire, outcome in heralds:
-        rho, p = qc.post_select_dm(rho, wire, outcome)
+        rho, p = qc.post_select(rho, wire, outcome)
     return partial_trace(rho, [out_wire]), p
 
 

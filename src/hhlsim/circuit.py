@@ -8,13 +8,18 @@ Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
 target axes, with controls taken as index views, so a k-qubit gate
 costs O(2**(n+k)) per statevector and no 2**n x 2**n operator is built.
-The statevector backend handles pure states, measurement collapse and
-classically conditioned gates; the density-matrix backend applies the
-same kernel to the rows and then to the columns, and additionally
-applies depolarizing noise after gate applications. At zero noise they
-agree to 1e-10, which the self test exercises. Projections and
-register readouts in both backends, and in the solvers built on them,
-go through one bit view, :func:`_bit_view`.
+The statevector backend handles pure states; the density-matrix backend
+applies the same kernel to the rows and then to the columns, and
+additionally applies depolarizing noise after gate applications. At
+zero noise they agree to 1e-10, which the self test exercises.
+
+One op walker, :func:`_walk`, executes every circuit on either backend,
+with measurements and classically conditioned gates. At a measurement
+a policy picks the outcomes to follow: :func:`run` collapses on one
+seeded draw, :func:`enumerate_branches` follows both. One projector,
+:func:`post_select`, serves vectors and density matrices. Projections
+and register readouts in both backends, and in the solvers built on
+them, go through one bit view, :func:`_bit_view`.
 
 Measurement randomness comes from a counter-based Philox generator
 keyed by (seed, shot index), so shot sampling is reproducible and
@@ -35,6 +40,8 @@ UNITARY_ATOL = 1e-10
 # upper bound on sample_shots' shot count; its uniform draw holds
 # 8 bytes per shot and measured bit
 MAX_SHOTS = 10**6
+# upper bound on sample_shots' record length; a record is read as an int64
+MAX_RECORD_BITS = 62
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -406,11 +413,6 @@ def embedded_unitary(g: Gate, n: int) -> np.ndarray:
     return _apply(np.eye(1 << n, dtype=complex), g)
 
 
-def apply_gate(state: np.ndarray, g: Gate) -> np.ndarray:
-    """Apply one gate to a statevector."""
-    return _apply(np.array(state, dtype=complex), g)
-
-
 def _bit_view(arr: np.ndarray, fixed: dict[int, int]) -> np.ndarray:
     """Basic-index view of the entries whose bits match ``fixed``.
 
@@ -477,13 +479,44 @@ def _shot_rng(seed: int, shot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _measure(state: np.ndarray, qubit: int, rng) -> tuple[np.ndarray, int, float]:
-    """Collapse a statevector or density matrix on a drawn outcome."""
-    p1 = _p_one(state, qubit)
-    outcome = 1 if rng.random() < p1 else 0
-    p = p1 if outcome else 1.0 - p1
-    scale = math.sqrt(p) if state.ndim == 1 else p
-    return _project(state, qubit, outcome) / scale, outcome, p
+@dataclass(frozen=True)
+class Branch:
+    """One measurement record with its probability and final state."""
+
+    record: str
+    probability: float
+    state: np.ndarray
+    classical: dict[int, int]
+
+
+def _walk(c: Circuit, state: np.ndarray, touch, policy):
+    """Yield every measurement path of ``c`` that ``policy`` follows, depth first.
+
+    The one op loop of both backends: ``touch(state, gate)`` applies a
+    gate, and at each Measure ``policy(p1)`` returns the ``(outcome, p)``
+    pairs to follow, in order. A followed branch is projected and divided
+    by sqrt(p) on a vector, by p on a density matrix. The record gets one
+    character per Measure, so a slot measured twice keeps both outcomes.
+    """
+    stack = [(0, state, 1.0, {}, "")]
+    while stack:
+        pos, state, prob, classical, record = stack.pop()
+        for i in range(pos, len(c.ops)):
+            op = c.ops[i]
+            if isinstance(op, Gate):
+                state = touch(state, op)
+            elif isinstance(op, Measure):
+                p1 = _p_one(state, op.qubit)
+                # pushed last-first, so the first pair is walked first
+                for outcome, p in reversed(policy(p1)):
+                    scale = math.sqrt(p) if state.ndim == 1 else p
+                    stack.append((i + 1, _project(state, op.qubit, outcome) / scale, prob * p,
+                                  {**classical, op.slot: outcome}, record + str(outcome)))
+                break
+            elif classical[op.slot] == op.outcome:
+                state = touch(state, op.gate)
+        else:
+            yield Branch(record, prob, state, classical)
 
 
 def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int = 0) -> RunOutcome:
@@ -491,17 +524,18 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
 
     A 1-d input without noise runs on the statevector backend; a noise
     spec or a 2-d (density matrix) input selects the density-matrix
-    backend. Measurements collapse using the seeded generator.
+    backend. Each measurement collapses on one draw from the generator
+    keyed by (seed, 0), taken in program order.
     """
     arr = np.asarray(input, dtype=complex)
     if arr.ndim == 1 and arr.size != (1 << c.qubits):
         raise DimensionMismatch(f"input size {arr.size} does not match {c.qubits} qubits")
     if arr.ndim == 2 or noise is not None:
-        rho = arr.copy() if arr.ndim == 2 else density(arr)
-        if rho.shape != (1 << c.qubits, 1 << c.qubits):
-            raise DimensionMismatch(f"density matrix shape {rho.shape} does not match circuit")
+        state = arr.copy() if arr.ndim == 2 else density(arr)
+        if state.shape != (1 << c.qubits, 1 << c.qubits):
+            raise DimensionMismatch(f"density matrix shape {state.shape} does not match circuit")
 
-        def touch(g: Gate, rho: np.ndarray) -> np.ndarray:
+        def touch(rho: np.ndarray, g: Gate) -> np.ndarray:
             # U on the row index, conj(U) on the column index: U rho U^dagger
             rho = _apply(rho, g)
             rho = _apply(rho, g, g.matrix.conj(), axis=1)
@@ -509,66 +543,44 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
                 if noise.applies_to == "all" or g.entangling:
                     rho = depolarize(rho, g.targets + g.controls, noise.p_depolarizing)
             return rho
-
-        return _execute(c, rho, touch, seed)
-    return _execute(c, arr.copy(), lambda g, state: _apply(state, g), seed)
-
-
-def _execute(c: Circuit, state: np.ndarray, touch, seed: int) -> RunOutcome:
-    """The op loop shared by both backends; ``touch`` applies one gate."""
+    else:
+        state, touch = arr.copy(), _apply
     rng = _shot_rng(seed, 0)
-    classical: dict[int, int] = {}
-    prob = 1.0
-    for op in c.ops:
-        if isinstance(op, Gate):
-            state = touch(op, state)
-        elif isinstance(op, Measure):
-            state, outcome, p = _measure(state, op.qubit, rng)
-            classical[op.slot] = outcome
-            prob *= p
-        elif classical[op.slot] == op.outcome:
-            state = touch(op.gate, state)
-    return RunOutcome(state, classical, prob)
+
+    def collapse(p1: float):
+        outcome = 1 if rng.random() < p1 else 0
+        return ((outcome, p1 if outcome else 1.0 - p1),)
+
+    (path,) = _walk(c, state, touch, collapse)
+    return RunOutcome(path.state, path.classical, path.probability)
 
 
-def post_select(state: np.ndarray, qubit: int, outcome: int) -> tuple[np.ndarray, float]:
-    """Project a statevector on one qubit's outcome and renormalize.
+def post_select(arr: np.ndarray, qubit: int, outcome: int) -> tuple[np.ndarray, float]:
+    """Project a statevector or density matrix on one qubit's outcome and renormalize.
 
-    Returns the projected state and the branch probability. Raises
-    ZeroProbability when the projection norm falls below 1e-14.
+    Returns the projected state and the branch probability. A vector is
+    divided by its norm, a density matrix by its trace. Raises
+    ZeroProbability when the branch weight falls below 1e-28.
     """
-    state = np.asarray(state, dtype=complex)
-    n = num_qubits(state.size)
+    arr = np.asarray(arr, dtype=complex)
+    n = num_qubits(arr.shape[0])
     if not 0 <= qubit < n:
         raise BadIndex(f"qubit {qubit} out of range")
-    out = _project(state, qubit, outcome)
-    norm = float(np.linalg.norm(out))
-    if norm < 1e-14:
-        raise ZeroProbability(f"projection of qubit {qubit} on {outcome} has vanishing norm")
-    return out / norm, norm * norm
-
-
-def post_select_dm(rho: np.ndarray, qubit: int, outcome: int) -> tuple[np.ndarray, float]:
-    """Density-matrix analogue of :func:`post_select`."""
-    rho = np.asarray(rho, dtype=complex)
-    n = num_qubits(rho.shape[0])
-    if not 0 <= qubit < n:
-        raise BadIndex(f"qubit {qubit} out of range")
-    proj = _project(rho, qubit, outcome)
-    p = float(np.trace(proj).real)
+    out = _project(arr, qubit, outcome)
+    if arr.ndim == 1:
+        scale = float(np.linalg.norm(out))
+        p = scale * scale
+    else:
+        scale = p = float(np.trace(out).real)
     if p < 1e-28:
-        raise ZeroProbability(f"projection of qubit {qubit} on {outcome} has vanishing weight")
-    return proj / p, p
+        what = "norm" if arr.ndim == 1 else "weight"
+        raise ZeroProbability(f"projection of qubit {qubit} on {outcome} has vanishing {what}")
+    return out / scale, p
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One measurement record with its probability and final pure state."""
-
-    record: str
-    probability: float
-    state: np.ndarray
-    classical: dict[int, int]
+# the benchmark harness still calls the density-matrix name
+# (perfbench/workloads.py and the tracer's PATCHES); no package code does
+post_select_dm = post_select
 
 
 def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
@@ -580,32 +592,11 @@ def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
     arr = np.asarray(input, dtype=complex)
     if arr.size != (1 << c.qubits):
         raise DimensionMismatch(f"input size {arr.size} does not match {c.qubits} qubits")
-    out: list[Branch] = []
 
-    def walk(pos: int, state: np.ndarray, prob: float, classical: dict[int, int], record: str):
-        for i in range(pos, len(c.ops)):
-            op = c.ops[i]
-            if isinstance(op, Gate):
-                state = _apply(state, op)
-            elif isinstance(op, Measure):
-                p1 = _p_one(state, op.qubit)
-                for outcome, p in ((0, 1.0 - p1), (1, p1)):
-                    if p <= 1e-15:
-                        continue
-                    walk(
-                        i + 1,
-                        _project(state, op.qubit, outcome) / math.sqrt(p),
-                        prob * p,
-                        {**classical, op.slot: outcome},
-                        record + str(outcome),
-                    )
-                return
-            elif classical[op.slot] == op.outcome:
-                state = _apply(state, op.gate)
-        out.append(Branch(record, prob, state, classical))
+    def both(p1: float):
+        return [(outcome, p) for outcome, p in ((0, 1.0 - p1), (1, p1)) if p > 1e-15]
 
-    walk(0, arr.copy(), 1.0, {}, "")
-    return out
+    return list(_walk(c, arr.copy(), _apply, both))
 
 
 def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> dict[str, int]:
@@ -615,39 +606,39 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     by the seed, one column per measurement, so histograms are
     reproducible and growing ``shots`` extends earlier histograms
     without disturbing them. Records are keyed as outcome strings in
-    program order; every record has one character per Measure op.
+    program order; every record has one character per Measure op, and
+    at most MAX_RECORD_BITS of them. A shot reads 1 when its draw falls
+    below the share of its prefix's mass that continues with 1. Every
+    table is sized by the branch count, never by 2**depth.
     """
     if shots < 1:
         raise BadFlag(f"shots must be positive, got {shots}")
     if shots > MAX_SHOTS:
         raise BadFlag(f"shots must be at most {MAX_SHOTS}, got {shots}")
+    depth = sum(1 for op in c.ops if isinstance(op, Measure))
+    if depth > MAX_RECORD_BITS:
+        raise BadFlag(f"records hold at most {MAX_RECORD_BITS} measurements, got {depth}")
     branches = enumerate_branches(c, input)
-    depth = len(branches[0].record)
     if depth == 0:
         return {"": shots}
-    # prefix mass, sparse over the prefixes that actually carry weight
-    mass: dict[tuple[int, int], float] = {}
-    for b in branches:
-        val = 0
-        for k, ch in enumerate(b.record):
-            key = (k, val)
-            mass[key] = mass.get(key, 0.0) + b.probability
-            val = (val << 1) | (ch == "1")
-        key = (depth, val)
-        mass[key] = mass.get(key, 0.0) + b.probability
+    records = np.array([int(b.record, 2) for b in branches], dtype=np.int64)
+    probs = np.array([b.probability for b in branches])
+    # after k outcomes a shot carries the rank of its prefix among the
+    # distinct k-outcome prefixes of the branches
+    ranks = [np.unique(records >> (depth - k), return_inverse=True)[1] for k in range(depth + 1)]
     u = _shot_rng(seed, 0).random((shots, depth))
-    path = np.zeros(shots, dtype=np.int64)
+    at = np.zeros(shots, dtype=np.intp)
     for k in range(depth):
-        vals, inv = np.unique(path, return_inverse=True)
-        frac = np.array([
-            mass.get((k + 1, (v << 1) | 1), 0.0) / mass[(k, v)] for v in vals
-        ])
-        path = (path << 1) | (u[:, k] < frac[inv])
-    out_vals, out_counts = np.unique(path, return_counts=True)
-    return {
-        format(int(v), f"0{depth}b"): int(n)
-        for v, n in zip(out_vals, out_counts)
-    }
+        bit = (records >> (depth - 1 - k)) & 1
+        # a missing child is never taken: its prefix's share of 1s is exactly 0 or 1
+        child = np.zeros((ranks[k].max() + 1, 2), dtype=np.intp)
+        child[ranks[k], bit] = ranks[k + 1]
+        # masses sum in branch order; adding the zeros is exact
+        share = np.bincount(ranks[k], np.where(bit == 1, probs, 0.0)) / np.bincount(ranks[k], probs)
+        at = child[at, (u[:, k] < share[at]).astype(np.intp)]
+    values = np.unique(records)
+    counts = np.bincount(at, minlength=values.size)
+    return {format(int(v), f"0{depth}b"): int(n) for v, n in zip(values, counts) if n}
 
 
 def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:

@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -182,8 +183,25 @@ def cmd_selftest(args) -> int:
     return 0 if run_selftest(corrupt_angle=args.corrupt_angle) else 1
 
 
+# a leading "-" followed by a number, exponent form included, is a value
+_SIGNED_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--c-const -2.5e-209`` as an option and its value.
+
+    argparse takes a token for an option unless it looks like a negative
+    number, and its own pattern omits the exponent form. Subparsers are
+    built with the parent's class, so every parser gets this pattern.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _SIGNED_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hhl-sim",
         description="Gate-model simulator and solver for quantum linear systems.",
     )

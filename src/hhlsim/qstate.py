@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndex, DimensionMismatch, NotHermitian, NotNormalized
+from .errors import BadIndex, DimensionMismatch, NotHermitian
 
-# Input matrices are accepted as Hermitian up to 1e-8; quantities the
-# package itself produces are held to 1e-10.
+# Input matrices are accepted as Hermitian up to 1e-8.
 HERMITIAN_INPUT_ATOL = 1e-8
-OUTPUT_ATOL = 1e-10
 
 
 def num_qubits(dim: int) -> int:
@@ -45,26 +43,6 @@ def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT_ATOL) -> np.nda
     if np.max(np.abs(m - m.conj().T)) > atol:
         raise NotHermitian(f"matrix is not Hermitian within {atol}")
     return m
-
-
-def check_normalized(vec: np.ndarray, atol: float = 1e-12) -> np.ndarray:
-    vec = np.asarray(vec, dtype=complex)
-    if vec.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {vec.shape}")
-    if not abs(np.linalg.norm(vec) - 1.0) <= atol:
-        raise NotNormalized(f"vector norm {np.linalg.norm(vec)!r} is not 1 within {atol}")
-    return vec
-
-
-def check_density_matrix(rho: np.ndarray, atol: float = OUTPUT_ATOL) -> np.ndarray:
-    """Validate trace one, Hermiticity and positivity of a density matrix."""
-    rho = check_hermitian(rho, atol=atol)
-    num_qubits(rho.shape[0])
-    if abs(np.trace(rho).real - 1.0) > atol:
-        raise DimensionMismatch(f"density matrix trace {np.trace(rho)!r} is not 1")
-    if np.linalg.eigvalsh(rho).min() < -atol:
-        raise DimensionMismatch("density matrix has a negative eigenvalue")
-    return rho
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: explicit kron chains, per-basis
 loops and eigendecomposition algebra, sharing no code with the package
-beyond numpy itself.
+beyond numpy itself. The state checks and the GHZ frame search live here
+because only tests use them; they raise AssertionError.
 """
 import math
+from itertools import product
 
 import numpy as np
 
@@ -132,3 +134,79 @@ def random_exact_problem(rng: np.random.Generator, dim: int, n_register: int):
     a = (v * lams) @ v.conj().T
     b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return a, b / np.linalg.norm(b)
+
+
+def check_normalized(vec: np.ndarray, atol: float = 1e-12) -> np.ndarray:
+    """A 1-d vector of norm 1 within ``atol``."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.ndim != 1:
+        raise AssertionError(f"expected a vector, got shape {vec.shape}")
+    if not abs(np.linalg.norm(vec) - 1.0) <= atol:
+        raise AssertionError(f"vector norm {np.linalg.norm(vec)!r} is not 1 within {atol}")
+    return vec
+
+
+def check_density_matrix(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    """A square Hermitian matrix of trace one with no eigenvalue below -atol."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise AssertionError(f"expected a square matrix, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > atol:
+        raise AssertionError(f"density matrix is not Hermitian within {atol}")
+    if abs(np.trace(rho).real - 1.0) > atol:
+        raise AssertionError(f"density matrix trace {np.trace(rho)!r} is not 1")
+    if np.linalg.eigvalsh(rho).min() < -atol:
+        raise AssertionError("density matrix has a negative eigenvalue")
+    return rho
+
+
+FRAME_MATS = {"I": I2, "X": X, "Z": Z, "H": H, "HX": H @ X, "XH": X @ H}
+FRAME_SEARCH_ORDER = ("I", "X", "Z", "H", "HX", "XH")
+GHZ4 = np.zeros(16, dtype=complex)
+GHZ4[0] = GHZ4[15] = 1.0 / math.sqrt(2.0)
+
+
+def best_ghz_frame(state: np.ndarray) -> tuple[dict[int, str], float]:
+    """Search every local frame on four qubits for maximal GHZ overlap.
+
+    Frames are named as in ``analysis.FRAME_OPS`` and scanned in
+    ``FRAME_SEARCH_ORDER``; ties keep the first hit, so the
+    identity-heavy frame wins when several reach the same fidelity.
+    """
+    best: tuple[dict[int, str], float] = ({}, -1.0)
+    for names in product(FRAME_SEARCH_ORDER, repeat=4):
+        op = np.eye(1, dtype=complex)
+        for q in range(3, -1, -1):
+            op = np.kron(op, FRAME_MATS[names[q]])
+        f = float(abs(np.vdot(GHZ4, op @ state)) ** 2)
+        if f > best[1] + 1e-12:
+            best = ({q: names[q] for q in range(4)}, f)
+            if f > 1.0 - 1e-12:
+                break
+    return best
+
+
+def sample_shots_naive(branches, shots: int, seed: int) -> dict[str, int]:
+    """Histogram of records, walking one draw row per shot over the branch list.
+
+    ``branches`` are (record, probability) pairs. Shot i reads row i of
+    the uniform draw keyed by (seed, 0). At each level a shot reads 1
+    when its draw falls below the share of its prefix's mass that
+    continues with 1; masses are Python-float sums over the branch list,
+    in branch order.
+    """
+    depth = len(branches[0][0])
+    key = np.array([seed, 0], dtype=np.uint64)
+    u = np.random.Generator(np.random.Philox(key=key)).random((shots, depth))
+    share: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for row in u:
+        prefix = ""
+        for k in range(depth):
+            if prefix not in share:
+                total = sum(p for rec, p in branches if rec.startswith(prefix))
+                ones = sum(p for rec, p in branches if rec.startswith(prefix + "1"))
+                share[prefix] = ones / total
+            prefix += "1" if row[k] < share[prefix] else "0"
+        counts[prefix] = counts.get(prefix, 0) + 1
+    return counts

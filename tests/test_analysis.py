@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from hhlsim import analysis as an
 from hhlsim import circuit as cq
 from hhlsim import compiled2x2 as cp
@@ -71,7 +72,7 @@ def test_reconstruct_clamps_estimation_noise():
     e = an.PauliExpectations(z=0.8, x=0.6 + 3e-7, y=0.0)
     assert e.radius > 1.0
     rho = an.reconstruct_single_qubit(e)
-    qstate.check_density_matrix(rho)
+    helpers.check_density_matrix(rho)
     assert np.isclose(an.pauli_expectations(rho).radius, 1.0, atol=1e-12)
     # well outside the window the triple is rejected
     with pytest.raises(UnphysicalExpectations):
@@ -94,7 +95,7 @@ def test_ghz_fidelity_and_witness():
 
 def test_frame_search_finds_documented_frame():
     state = cp.intermediate_state(cp.CompiledConfig("b3"), "after_rotation")
-    frame, fid = an.best_ghz_frame(state)
+    frame, fid = helpers.best_ghz_frame(state)
     assert fid >= 1 - 1e-12
     assert frame == an.COMPILED_GHZ_FRAME
     assert np.isclose(an.ghz_fidelity(an.apply_frame(state, frame)), fid, atol=1e-12)
@@ -102,7 +103,7 @@ def test_frame_search_finds_documented_frame():
     # state stays below the witness threshold in every frame
     product = np.zeros(16, dtype=complex)
     product[3] = 1.0
-    _, best = an.best_ghz_frame(product)
+    _, best = helpers.best_ghz_frame(product)
     assert best <= 0.5 + 1e-12
 
 

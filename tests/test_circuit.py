@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hhlsim.errors import (
     NonUnitary,
     ZeroProbability,
 )
-from test_kernel import gates
+from test_kernel import gates, random_state
 
 
 def random_1q(rng):
@@ -301,13 +302,17 @@ def test_post_select():
 
 
 def test_post_select_dm():
+    # one projector serves both backends; the density-matrix name is an alias
+    assert cq.post_select_dm is cq.post_select
     bell = np.zeros(4, dtype=complex)
     bell[0b00] = bell[0b11] = 1 / math.sqrt(2)
-    rho, p = cq.post_select_dm(qstate.density(bell), 0, 1)
+    rho, p = cq.post_select(qstate.density(bell), 0, 1)
     assert np.isclose(p, 0.5)
     assert np.allclose(rho, qstate.density(np.eye(4)[0b11].astype(complex)))
     with pytest.raises(ZeroProbability):
-        cq.post_select_dm(qstate.density(np.eye(4)[0].astype(complex)), 1, 1)
+        cq.post_select(qstate.density(np.eye(4)[0].astype(complex)), 1, 1)
+    with pytest.raises(BadIndex):
+        cq.post_select(qstate.density(bell), 2, 0)
 
 
 def test_noise_spec_validation():
@@ -425,27 +430,107 @@ def test_serialization_roundtrip():
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, measured=st.booleans()):
     """Gates from ``gates()`` and stock gates, each optionally preceded by a
-    measurement and, once a slot is written, optionally conditioned on one."""
+    measurement into a new or an already written slot and, once a slot is
+    written, optionally conditioned on one."""
     drawn = draw(st.lists(gates(), min_size=1, max_size=4))
     width = max(n for n, _, _ in drawn)
     wire = st.integers(0, width - 1)
     angle = st.floats(-4.0, 4.0)
     stock = st.one_of(st.builds(cq.x, wire), st.builds(cq.h, wire),
                       st.builds(cq.phase, wire, angle), st.builds(cq.h_theta, wire, angle))
-    measured = draw(st.booleans())
+    measured = draw(measured)
     ops: list = []
     slots = 0
     for _, g, _ in drawn:
         for op in (g, draw(stock)):
             if measured and draw(st.booleans()):
-                ops.append(cq.Measure(draw(wire), slots))
-                slots += 1
+                slot = draw(st.integers(0, slots))
+                ops.append(cq.Measure(draw(wire), slot))
+                slots = max(slots, slot + 1)
             if slots and draw(st.booleans()):
                 op = cq.ConditionalGate(op, draw(st.integers(0, slots - 1)), draw(st.integers(0, 1)))
             ops.append(op)
     return cq.Circuit(width, ops)
+
+
+def with_repeated_slot(c: cq.Circuit) -> cq.Circuit:
+    """``c`` followed by two reads of qubit 0 into slot 0, a Hadamard between them."""
+    return cq.Circuit(c.qubits, c.ops + (cq.Measure(0, 0), cq.h(0), cq.Measure(0, 0)))
+
+
+def run_record(c: cq.Circuit, psi: np.ndarray, seed: int) -> str:
+    """The outcomes ``run`` draws, one per Measure in program order.
+
+    Outcome k is read from a run of the circuit cut after its k-th
+    Measure: draws are taken in program order, so the cut run makes the
+    same first k draws.
+    """
+    record = ""
+    for i, op in enumerate(c.ops):
+        if isinstance(op, cq.Measure):
+            cut = cq.Circuit(c.qubits, c.ops[:i + 1])
+            record += str(cq.run(cut, psi, seed=seed).classical_bits[op.slot])
+    return record
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(measured=st.just(True)), st.integers(0, 2**32 - 1))
+def test_run_is_the_enumerated_branch_of_its_record(c, state_seed):
+    c = with_repeated_slot(c)
+    psi = random_state(np.random.default_rng(state_seed), c.qubits)
+    branches = {b.record: b for b in cq.enumerate_branches(c, psi)}
+    for seed in range(6):
+        out = cq.run(c, psi, seed=seed)
+        br = branches[run_record(c, psi, seed)]
+        assert np.array_equal(out.state, br.state)
+        assert out.classical_bits == br.classical
+        assert out.probability == br.probability
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits(measured=st.just(True)), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+def test_sample_shots_matches_naive_sampler(c, state_seed, seed):
+    c = with_repeated_slot(c)
+    psi = random_state(np.random.default_rng(state_seed), c.qubits)
+    branches = [(b.record, b.probability) for b in cq.enumerate_branches(c, psi)]
+    assert cq.sample_shots(c, psi, 300, seed=seed) == helpers.sample_shots_naive(branches, 300, seed)
+
+
+def test_repeated_slot_keeps_every_outcome_in_the_record():
+    c = cq.Circuit(1, [cq.h(0), cq.Measure(0, 0), cq.h(0), cq.Measure(0, 0)])
+    init = np.array([1.0, 0.0])
+    branches = cq.enumerate_branches(c, init)
+    assert [b.record for b in branches] == ["00", "01", "10", "11"]
+    assert [b.classical for b in branches] == [{0: 0}, {0: 1}, {0: 0}, {0: 1}]
+    assert all(np.isclose(b.probability, 0.25) for b in branches)
+    hist = cq.sample_shots(c, init, 4000, seed=1)
+    assert set(hist) == {"00", "01", "10", "11"}
+    assert hist == helpers.sample_shots_naive([(b.record, b.probability) for b in branches], 4000, 1)
+
+
+def test_sample_shots_memory_follows_branches_not_records():
+    # 40 reads of one qubit: two branches out of 2**40 possible records
+    c = cq.Circuit(1, [cq.h(0)] + [cq.Measure(0, k) for k in range(40)])
+    init = np.array([1.0, 0.0])
+    tracemalloc.start()
+    try:
+        hist = cq.sample_shots(c, init, 1000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(hist) == {"0" * 40, "1" * 40} and sum(hist.values()) == 1000
+    assert peak < 2 * 2**20
+
+
+def test_sample_shots_record_length_cap():
+    init = np.array([1.0, 0.0])
+    longest = cq.Circuit(1, [cq.h(0)] + [cq.Measure(0, 0)] * cq.MAX_RECORD_BITS)
+    hist = cq.sample_shots(longest, init, 100, seed=0)
+    assert set(hist) == {"0" * 62, "1" * 62}
+    with pytest.raises(BadFlag):
+        cq.sample_shots(cq.Circuit(1, longest.ops + (cq.Measure(0, 0),)), init, 100)
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,9 +540,3 @@ def test_json_round_trip_property(c):
     assert back == c
     if all(isinstance(op, cq.Gate) for op in c.ops):
         assert np.array_equal(back.unitary_matrix(), c.unitary_matrix())
-
-
-def test_apply_gate():
-    init = np.eye(4)[0b01].astype(complex)
-    out = cq.apply_gate(init, cq.cnot(0, 1))
-    assert np.allclose(out, np.eye(4)[0b11])

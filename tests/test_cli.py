@@ -128,6 +128,11 @@ def test_solve_validation_failures(tmp_path, capsys):
     m, v = write_problem(tmp_path, matrix=[[1e308, 0.0], [0.0, 1e308]])
     code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
     assert code == 2 and "overflows the register" in err
+    # a negative C in exponent form, given as two tokens, reaches InvalidC
+    m, v = write_problem(tmp_path)
+    for c_const in ("-2.5e-209", "-1e3"):
+        code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v, "--c-const", c_const])
+        assert code == 2 and f"C must be positive and finite, got {float(c_const)}" in err
     # a classical solution whose norm underflows to zero
     m, v = write_problem(tmp_path, matrix=[[1e200, 0.0], [0.0, 3e200]])
     code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
@@ -216,8 +221,8 @@ def test_solve_fuzz_keeps_exit_contract(case):
         v.write_text(json.dumps(vector))
         argv = ["solve", "--matrix", str(m), "--vector", str(v), "--register-bits", str(bits)]
         if c_const is not None:
-            # one token, so that argparse does not read a negative value as an option
-            argv.append(f"--c-const={c_const!r}")
+            # two tokens: a negative value, exponent form included, is still read as a value
+            argv += ["--c-const", repr(c_const)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)

@@ -9,7 +9,6 @@ from hhlsim.errors import (
     BadIndex,
     DimensionMismatch,
     NotHermitian,
-    NotNormalized,
 )
 
 
@@ -36,19 +35,21 @@ def test_check_hermitian():
 
 def test_check_normalized():
     v = np.array([1, 1j]) / math.sqrt(2)
-    qstate.check_normalized(v)
-    with pytest.raises(NotNormalized):
-        qstate.check_normalized(np.array([1.0, 1e-5]))
-    with pytest.raises(DimensionMismatch):
-        qstate.check_normalized(np.eye(2))
+    helpers.check_normalized(v)
+    with pytest.raises(AssertionError, match="norm"):
+        helpers.check_normalized(np.array([1.0, 1e-5]))
+    with pytest.raises(AssertionError, match="vector"):
+        helpers.check_normalized(np.eye(2))
 
 
 def test_check_density_matrix():
-    qstate.check_density_matrix(np.eye(2) / 2)
-    with pytest.raises(DimensionMismatch):
-        qstate.check_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(DimensionMismatch):
-        qstate.check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+    helpers.check_density_matrix(np.eye(2) / 2)
+    with pytest.raises(AssertionError, match="trace"):
+        helpers.check_density_matrix(np.eye(2))
+    with pytest.raises(AssertionError, match="negative eigenvalue"):
+        helpers.check_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+    with pytest.raises(AssertionError, match="Hermitian"):
+        helpers.check_density_matrix(np.array([[0.5, 0.1], [0.0, 0.5]], dtype=complex))
 
 
 def test_eigh_reconstruct():
