@@ -233,8 +233,18 @@ def _problem_layout(prob: HhlProblem):
     return pipeline_circuit(prob), initial_state(prob), hhl.heralds(prob), 1 + prob.n_register
 
 
+def _check_modes(mode: str, feedforward: str) -> None:
+    if mode not in ("generic", "compiled"):
+        raise BadFlag(f"unknown mode {mode!r}")
+    if feedforward not in ("unitary", "semiclassical"):
+        raise BadFlag(f"unknown feedforward mode {feedforward!r}")
+    if mode == "generic" and feedforward == "semiclassical":
+        raise BadFlag("semiclassical feedforward applies to the compiled mode only")
+
+
 def _measurement_layout(mode: str, vec: np.ndarray, feedforward: str):
     """Base circuit, initial state, herald list and output wire for sampling."""
+    _check_modes(mode, feedforward)
     if mode == "compiled":
         cfg = c2.CompiledConfig(input_b=vec, feedforward=feedforward)
         circ = c2.build_compiled_circuit(cfg)
@@ -360,12 +370,7 @@ def build_pauli_report(mode: str = "generic", feedforward: str = "unitary",
     estimates alongside the exact values; sampling the noisy backend is
     not supported.
     """
-    if mode not in ("generic", "compiled"):
-        raise BadFlag(f"unknown mode {mode!r}")
-    if feedforward not in ("unitary", "semiclassical"):
-        raise BadFlag(f"unknown feedforward mode {feedforward!r}")
-    if mode == "generic" and feedforward == "semiclassical":
-        raise BadFlag("semiclassical feedforward applies to the compiled mode only")
+    _check_modes(mode, feedforward)
     if shots and noise is not None:
         raise BadFlag("shot sampling runs on the pure backend; drop the noise spec")
     entries = []
@@ -397,12 +402,11 @@ def build_pauli_report(mode: str = "generic", feedforward: str = "unitary",
 
 def noise_sweep(mode: str, p_list, feedforward: str = "unitary",
                 inputs=("b1", "b2", "b3")) -> list[tuple[float, str, float]]:
-    """Rows of (depolarizing p, input name, solution fidelity)."""
-    return [
-        (float(p), e.input, e.fidelity)
-        for p in p_list
-        for e in build_pauli_report(mode, feedforward, qc.NoiseSpec(float(p)), inputs=inputs).entries
-    ]
+    """Rows of (depolarizing p, input name, solution fidelity), each fidelity
+    as :func:`build_pauli_report` computes it under that noise spec."""
+    named = [(name, vec, classical_solve(c2.SYSTEM_MATRIX, vec)) for name, vec in map(_resolve_input, inputs)]
+    return [(float(p), name, fidelity(x_cl, _noisy_output(mode, vec, qc.NoiseSpec(float(p)), feedforward)[0]))
+            for p in p_list for name, vec, x_cl in named]
 
 
 def _expectations_dict(e: PauliExpectations) -> dict:

@@ -608,8 +608,9 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     without disturbing them. Records are keyed as outcome strings in
     program order; every record has one character per Measure op, and
     at most MAX_RECORD_BITS of them. A shot reads 1 when its draw falls
-    below the share of its prefix's mass that continues with 1. Every
-    table is sized by the branch count, never by 2**depth.
+    below the share of its prefix's mass that continues with 1; a level
+    at which no prefix splits, whose shares are all 0 or 1, never touches
+    the shots. Every table is sized by the branch count, never by 2**depth.
     """
     if shots < 1:
         raise BadFlag(f"shots must be positive, got {shots}")
@@ -629,6 +630,8 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     u = _shot_rng(seed, 0).random((shots, depth))
     at = np.zeros(shots, dtype=np.intp)
     for k in range(depth):
+        if ranks[k + 1].max() == ranks[k].max():
+            continue  # no prefix splits, so each shot's child keeps its rank whatever it draws
         bit = (records >> (depth - 1 - k)) & 1
         # a missing child is never taken: its prefix's share of 1s is exactly 0 or 1
         child = np.zeros((ranks[k].max() + 1, 2), dtype=np.intp)

@@ -183,12 +183,12 @@ def cmd_selftest(args) -> int:
     return 0 if run_selftest(corrupt_angle=args.corrupt_angle) else 1
 
 
-# a leading "-" followed by a number, exponent form included, is a value
-_SIGNED_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# "-" then a decimal or exponent-form number, or inf, infinity or nan in any case, is a value
+_SIGNED_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``--c-const -2.5e-209`` as an option and its value.
+    """Reads ``--c-const -2.5e-209`` and ``--c-const -inf`` as an option and its value.
 
     argparse takes a token for an option unless it looks like a negative
     number, and its own pattern omits the exponent form. Subparsers are

@@ -156,6 +156,14 @@ def test_report_flag_validation():
         an.build_pauli_report(mode="generic", feedforward="semiclassical")
     with pytest.raises(BadFlag):
         an.build_pauli_report(mode="compiled", shots=100, noise=cq.NoiseSpec(0.1))
+    # the sampled and noisy readouts keep the same rule
+    for mode, feedforward in (("fast", "unitary"), ("compiled", "none"), ("generic", "semiclassical")):
+        with pytest.raises(BadFlag):
+            an.shot_estimates(mode, "b3", 10, feedforward=feedforward)
+        with pytest.raises(BadFlag):
+            an.sampled_success(mode, "b3", 10, feedforward=feedforward)
+        with pytest.raises(BadFlag):
+            an.noise_sweep(mode, [0.1], feedforward=feedforward)
 
 
 def test_zero_noise_matches_noiseless():

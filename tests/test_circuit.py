@@ -498,6 +498,80 @@ def test_sample_shots_matches_naive_sampler(c, state_seed, seed):
     assert cq.sample_shots(c, psi, 300, seed=seed) == helpers.sample_shots_naive(branches, 300, seed)
 
 
+def with_repeated_reads(c: cq.Circuit) -> cq.Circuit:
+    """``c`` with every Measure read again at once into a fresh slot.
+
+    Nothing acts between the two reads, so the second one never splits a
+    prefix: its share of 1s is exactly 0 or 1.
+    """
+    slots = 1 + max((op.slot for op in c.ops if isinstance(op, cq.Measure)), default=-1)
+    ops = []
+    for op in c.ops:
+        ops.append(op)
+        if isinstance(op, cq.Measure):
+            ops.append(cq.Measure(op.qubit, slots))
+            slots += 1
+    return cq.Circuit(c.qubits, ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuits(measured=st.just(True)), st.integers(0, 2**32 - 1), st.integers(0, 2**64 - 1))
+def test_sample_shots_matches_naive_sampler_on_forced_reads(c, state_seed, seed):
+    c = with_repeated_reads(with_repeated_slot(c))
+    psi = random_state(np.random.default_rng(state_seed), c.qubits)
+    branches = [(b.record, b.probability) for b in cq.enumerate_branches(c, psi)]
+    assert cq.sample_shots(c, psi, 300, seed=seed) == helpers.sample_shots_naive(branches, 300, seed)
+
+
+def chain_to_underflow() -> cq.Circuit:
+    """A drawn level, then reads of qubit 0 where only all-1 runs split.
+
+    Each read gives 1 with probability 1e-14 after a 1 and never after a
+    0. After 24 reads an all-1 run has probability 0.0 (1e-14**24
+    underflows) while its sibling does not, so that level splits a prefix
+    whose share of 1s is exactly 0.0. A read of qubit 0 that splits
+    nothing and a final drawn level follow.
+    """
+    t = 1e-14
+    u = cq.unitary(np.array([[math.sqrt(1 - t), -math.sqrt(t)], [math.sqrt(t), math.sqrt(1 - t)]]), [0])
+    again = cq.unitary(u.matrix @ helpers.X, [0])
+    ops = [cq.h(1), cq.Measure(1, 1), u, cq.Measure(0, 0)]
+    for _ in range(23):
+        ops += [cq.ConditionalGate(again, 0, 1), cq.Measure(0, 0)]
+    return cq.Circuit(2, ops + [cq.Measure(0, 0), cq.h(1), cq.Measure(1, 1)])
+
+
+FORCED_LEVELS = {
+    # forced to 1, then a level a draw decides
+    "forced-then-drawn": cq.Circuit(2, [cq.x(1), cq.Measure(1, 0), cq.h(0), cq.Measure(0, 1)]),
+    # forced to 0 under prefix 0 and to 1 under prefix 1
+    "forced-per-prefix": cq.Circuit(2, [cq.h(0), cq.Measure(0, 0), cq.cnot(0, 1), cq.Measure(1, 1)]),
+    # three forced levels in a row between two drawn levels
+    "three-forced": cq.Circuit(2, [
+        cq.h(0), cq.Measure(0, 0), cq.cnot(0, 1), cq.Measure(1, 1), cq.Measure(0, 2),
+        cq.Measure(1, 3), cq.h(0), cq.Measure(0, 4)]),
+    # a level whose shares are all exactly 0 or 1 but that splits a prefix
+    "split-at-share-zero": chain_to_underflow(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORCED_LEVELS))
+def test_sample_shots_forced_levels_match_naive_sampler(name):
+    c = FORCED_LEVELS[name]
+    init = np.eye(1 << c.qubits)[0].astype(complex)
+    branches = [(b.record, b.probability) for b in cq.enumerate_branches(c, init)]
+    for seed in (0, 1):
+        assert cq.sample_shots(c, init, 2000, seed=seed) == helpers.sample_shots_naive(branches, 2000, seed)
+
+
+def test_chain_to_underflow_splits_a_prefix_at_share_zero():
+    branches = cq.enumerate_branches(chain_to_underflow(), np.eye(4)[0].astype(complex))
+    mass = {}
+    for b in branches:
+        mass[b.record[:25]] = mass.get(b.record[:25], 0.0) + b.probability
+    assert mass["0" + "1" * 24] == 0.0 and mass["0" + "1" * 23 + "0"] > 0.0
+
+
 def test_repeated_slot_keeps_every_outcome_in_the_record():
     c = cq.Circuit(1, [cq.h(0), cq.Measure(0, 0), cq.h(0), cq.Measure(0, 0)])
     init = np.array([1.0, 0.0])

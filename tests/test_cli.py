@@ -128,9 +128,10 @@ def test_solve_validation_failures(tmp_path, capsys):
     m, v = write_problem(tmp_path, matrix=[[1e308, 0.0], [0.0, 1e308]])
     code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
     assert code == 2 and "overflows the register" in err
-    # a negative C in exponent form, given as two tokens, reaches InvalidC
+    # a negative C in exponent form or spelled as an infinity or nan, given
+    # as two tokens, reaches InvalidC
     m, v = write_problem(tmp_path)
-    for c_const in ("-2.5e-209", "-1e3"):
+    for c_const in ("-2.5e-209", "-1e3", "-inf", "-nan", "-Infinity"):
         code, _, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v, "--c-const", c_const])
         assert code == 2 and f"C must be positive and finite, got {float(c_const)}" in err
     # a classical solution whose norm underflows to zero

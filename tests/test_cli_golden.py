@@ -8,7 +8,8 @@ when it changes a JSON document.
 
 Regenerate a digest with
 ``PYTHONPATH=src python -m hhlsim.cli ARGS | sha256sum`` from the
-directory holding ``matrix.json`` and ``vector.json`` as written below.
+directory holding ``matrix.json``, ``exact.json`` and ``vector.json`` as
+written below.
 """
 import hashlib
 import json
@@ -21,6 +22,9 @@ from hhlsim import cli
 MATRIX = [[1.75, 0.25], [0.25, 1.75]]
 VECTOR = [0.6, 0.8]
 SOLVE = ["solve", "--matrix", "matrix.json", "--vector", "vector.json"]
+# eigenvalues 1 and 2 lie on the register grid, so after the uncompute every
+# register read is certain: the sampler's levels that no prefix splits
+EXACT = [[1.5, 0.5], [0.5, 1.5]]
 
 # (argv, sha256 of stdout), recorded before the one-walker refactor of circuit
 GRID = {
@@ -64,6 +68,11 @@ GRID = {
     "solve-8": (
         SOLVE + ["--register-bits", "8"],
         "2c0ccc71647f6536d43a6eaee7e6a3fc59a80ac718dafbe658c0e3fa75651b41"),
+    # recorded before the sampler stopped stepping shots through unsplit levels
+    "solve-exact-6-shots": (
+        ["solve", "--matrix", "exact.json", "--vector", "vector.json", "--register-bits", "6",
+         "--shots", "100000", "--seed", "3"],
+        "a8b6d64a1fccb295ca89e71f0dc79ab9dcd241c6935347a60c992623346a4bdd"),
 }
 
 
@@ -73,6 +82,7 @@ def test_cli_stdout_digest(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("HHL_SIM_SEED", raising=False)
     (tmp_path / "matrix.json").write_text(json.dumps(MATRIX))
+    (tmp_path / "exact.json").write_text(json.dumps(EXACT))
     (tmp_path / "vector.json").write_text(json.dumps(VECTOR))
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
