@@ -23,7 +23,8 @@ them, go through one bit view, :func:`_bit_view`.
 
 Measurement randomness comes from a counter-based Philox generator
 keyed by (seed, shot index), so shot sampling is reproducible and
-independent of evaluation order.
+independent of evaluation order. It is built at the first draw, so a
+run without measurements never imports ``numpy.random``.
 """
 from __future__ import annotations
 
@@ -37,9 +38,10 @@ from .errors import BadFlag, BadIndex, DimensionMismatch, NonUnitary, ZeroProbab
 from .qstate import density, num_qubits, partial_trace
 
 UNITARY_ATOL = 1e-10
-# upper bound on sample_shots' shot count; its uniform draw holds
-# 8 bytes per shot and measured bit
+# upper bound on sample_shots' shot count; the draw is taken in blocks
+# of _SHOT_BLOCK shots, so it bounds time, not memory
 MAX_SHOTS = 10**6
+_SHOT_BLOCK = 1 << 13
 # upper bound on sample_shots' record length; a record is read as an int64
 MAX_RECORD_BITS = 62
 
@@ -439,11 +441,11 @@ def _project(arr: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
     return out
 
 
-def _p_one(arr: np.ndarray, qubit: int) -> float:
-    """Probability of reading 1 on ``qubit``."""
+def _weight(arr: np.ndarray, qubit: int, outcome: int) -> float:
+    """Probability of reading ``outcome`` on ``qubit``."""
     if arr.ndim == 1:
-        return float(np.sum(np.abs(_bit_view(arr, {qubit: 1})) ** 2))
-    return float(np.sum(np.abs(_bit_view(np.diag(arr), {qubit: 1}))).real)
+        return float(np.sum(np.abs(_bit_view(arr, {qubit: outcome})) ** 2))
+    return float(np.sum(np.abs(_bit_view(np.diag(arr), {qubit: outcome}))).real)
 
 
 @dataclass(frozen=True)
@@ -474,9 +476,15 @@ class RunOutcome:
     probability: float = 1.0
 
 
-def _shot_rng(seed: int, shot: int) -> np.random.Generator:
+def _philox(seed: int, shot: int) -> np.random.Philox:
+    """The Philox bit generator keyed by (seed, shot)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, shot & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Philox(key=key)
+
+
+def _uniform(raw):
+    """Uniforms in [0, 1) from raw 64-bit draws, as ``Generator.random`` makes them."""
+    return (raw >> 11) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -493,10 +501,14 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
     """Yield every measurement path of ``c`` that ``policy`` follows, depth first.
 
     The one op loop of both backends: ``touch(state, gate)`` applies a
-    gate, and at each Measure ``policy(p1)`` returns the ``(outcome, p)``
-    pairs to follow, in order. A followed branch is projected and divided
-    by sqrt(p) on a vector, by p on a density matrix. The record gets one
-    character per Measure, so a slot measured twice keeps both outcomes.
+    gate, and at each Measure ``policy(p)`` returns the outcomes to
+    follow, in order, where ``p[o]`` is the weight of the state's
+    projection on outcome o. Each weight is taken from its own
+    projection, never as one minus the other, so an unlikely outcome
+    keeps its relative precision. A followed branch is projected and
+    divided by sqrt(p[o]) on a vector, by p[o] on a density matrix. The
+    record gets one character per Measure, so a slot measured twice
+    keeps both outcomes.
     """
     stack = [(0, state, 1.0, {}, "")]
     while stack:
@@ -506,9 +518,10 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
             if isinstance(op, Gate):
                 state = touch(state, op)
             elif isinstance(op, Measure):
-                p1 = _p_one(state, op.qubit)
-                # pushed last-first, so the first pair is walked first
-                for outcome, p in reversed(policy(p1)):
+                weights = (_weight(state, op.qubit, 0), _weight(state, op.qubit, 1))
+                # pushed last-first, so the first outcome is walked first
+                for outcome in reversed(policy(weights)):
+                    p = weights[outcome]
                     scale = math.sqrt(p) if state.ndim == 1 else p
                     stack.append((i + 1, _project(state, op.qubit, outcome) / scale, prob * p,
                                   {**classical, op.slot: outcome}, record + str(outcome)))
@@ -525,7 +538,8 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
     A 1-d input without noise runs on the statevector backend; a noise
     spec or a 2-d (density matrix) input selects the density-matrix
     backend. Each measurement collapses on one draw from the generator
-    keyed by (seed, 0), taken in program order.
+    keyed by (seed, 0), taken in program order; the generator is built at
+    the first measurement.
     """
     arr = np.asarray(input, dtype=complex)
     if arr.ndim == 1 and arr.size != (1 << c.qubits):
@@ -545,11 +559,13 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
             return rho
     else:
         state, touch = arr.copy(), _apply
-    rng = _shot_rng(seed, 0)
+    bits = None
 
-    def collapse(p1: float):
-        outcome = 1 if rng.random() < p1 else 0
-        return ((outcome, p1 if outcome else 1.0 - p1),)
+    def collapse(p: tuple[float, float]):
+        nonlocal bits
+        if bits is None:
+            bits = _philox(seed, 0)
+        return (1 if _uniform(bits.random_raw()) < p[1] else 0,)
 
     (path,) = _walk(c, state, touch, collapse)
     return RunOutcome(path.state, path.classical, path.probability)
@@ -593,8 +609,8 @@ def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
     if arr.size != (1 << c.qubits):
         raise DimensionMismatch(f"input size {arr.size} does not match {c.qubits} qubits")
 
-    def both(p1: float):
-        return [(outcome, p) for outcome, p in ((0, 1.0 - p1), (1, p1)) if p > 1e-15]
+    def both(p: tuple[float, float]):
+        return [outcome for outcome in (0, 1) if p[outcome] > 1e-15]
 
     return list(_walk(c, arr.copy(), _apply, both))
 
@@ -602,15 +618,19 @@ def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
 def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> dict[str, int]:
     """Histogram of measurement records over ``shots`` runs.
 
-    Shot i consumes row i of a single counter-based uniform draw keyed
+    Shot i consumes row i of one counter-based stream of raw draws keyed
     by the seed, one column per measurement, so histograms are
     reproducible and growing ``shots`` extends earlier histograms
-    without disturbing them. Records are keyed as outcome strings in
-    program order; every record has one character per Measure op, and
-    at most MAX_RECORD_BITS of them. A shot reads 1 when its draw falls
-    below the share of its prefix's mass that continues with 1; a level
-    at which no prefix splits, whose shares are all 0 or 1, never touches
-    the shots. Every table is sized by the branch count, never by 2**depth.
+    without disturbing them. The stream is read in blocks of _SHOT_BLOCK
+    rows, and only the columns of levels at which some prefix splits are
+    turned into uniforms, exactly as ``Generator.random`` would; a level
+    at which no prefix splits never touches the shots. Records are keyed
+    as outcome strings in program order; every record has one character
+    per Measure op, and at most MAX_RECORD_BITS of them. A shot reads 1
+    when its draw falls below the share of its prefix's mass that
+    continues with 1. Branches of probability 0.0 are dropped: no shot
+    reaches them. Every table is sized by the branch count, never by
+    2**depth, and memory does not grow with ``shots``.
     """
     if shots < 1:
         raise BadFlag(f"shots must be positive, got {shots}")
@@ -619,7 +639,7 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     depth = sum(1 for op in c.ops if isinstance(op, Measure))
     if depth > MAX_RECORD_BITS:
         raise BadFlag(f"records hold at most {MAX_RECORD_BITS} measurements, got {depth}")
-    branches = enumerate_branches(c, input)
+    branches = [b for b in enumerate_branches(c, input) if b.probability > 0.0]
     if depth == 0:
         return {"": shots}
     records = np.array([int(b.record, 2) for b in branches], dtype=np.int64)
@@ -627,20 +647,28 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     # after k outcomes a shot carries the rank of its prefix among the
     # distinct k-outcome prefixes of the branches
     ranks = [np.unique(records >> (depth - k), return_inverse=True)[1] for k in range(depth + 1)]
-    u = _shot_rng(seed, 0).random((shots, depth))
-    at = np.zeros(shots, dtype=np.intp)
+    levels = []
     for k in range(depth):
         if ranks[k + 1].max() == ranks[k].max():
             continue  # no prefix splits, so each shot's child keeps its rank whatever it draws
         bit = (records >> (depth - 1 - k)) & 1
-        # a missing child is never taken: its prefix's share of 1s is exactly 0 or 1
-        child = np.zeros((ranks[k].max() + 1, 2), dtype=np.intp)
-        child[ranks[k], bit] = ranks[k + 1]
+        # a prefix's children are adjacent in rank order, so a shot moves to
+        # lo + its bit; a prefix with one child has a share of exactly 0 or 1
+        lo = np.empty(ranks[k].max() + 1, dtype=np.intp)
+        lo[ranks[k]] = ranks[k + 1] - bit
         # masses sum in branch order; adding the zeros is exact
         share = np.bincount(ranks[k], np.where(bit == 1, probs, 0.0)) / np.bincount(ranks[k], probs)
-        at = child[at, (u[:, k] < share[at]).astype(np.intp)]
+        levels.append((k, lo, share))
     values = np.unique(records)
-    counts = np.bincount(at, minlength=values.size)
+    counts = np.zeros(values.size, dtype=np.int64)
+    bits = _philox(seed, 0)
+    for start in range(0, shots, _SHOT_BLOCK):
+        # consecutive raw draws continue the stream: these are rows start, start + 1, ...
+        raw = bits.random_raw((min(_SHOT_BLOCK, shots - start), depth))
+        at = np.zeros(raw.shape[0], dtype=np.intp)
+        for k, lo, share in levels:
+            at = lo[at] + (_uniform(raw[:, k]) < share[at])
+        counts += np.bincount(at, minlength=values.size)
     return {format(int(v), f"0{depth}b"): int(n) for v, n in zip(values, counts) if n}
 
 

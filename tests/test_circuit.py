@@ -555,6 +555,9 @@ FORCED_LEVELS = {
 }
 
 
+# split-at-share-zero keeps a branch of probability 0.0; dividing its
+# prefix's zero mass by itself would warn on the user's stderr
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(FORCED_LEVELS))
 def test_sample_shots_forced_levels_match_naive_sampler(name):
     c = FORCED_LEVELS[name]
@@ -585,17 +588,47 @@ def test_repeated_slot_keeps_every_outcome_in_the_record():
 
 
 def test_sample_shots_memory_follows_branches_not_records():
-    # 40 reads of one qubit: two branches out of 2**40 possible records
+    # 40 reads of one qubit: two branches out of 2**40 possible records;
+    # drawn at once, 2e5 shots x 40 outcomes would take 64 MiB
     c = cq.Circuit(1, [cq.h(0)] + [cq.Measure(0, k) for k in range(40)])
     init = np.array([1.0, 0.0])
-    tracemalloc.start()
-    try:
-        hist = cq.sample_shots(c, init, 1000, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert set(hist) == {"0" * 40, "1" * 40} and sum(hist.values()) == 1000
-    assert peak < 2 * 2**20
+    for shots, bound in ((1000, 2 * 2**20), (200_000, 8 * 2**20)):
+        tracemalloc.start()
+        try:
+            hist = cq.sample_shots(c, init, shots, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(hist) == {"0" * 40, "1" * 40} and sum(hist.values()) == shots
+        assert peak < bound
+
+
+def test_sample_shots_matches_naive_sampler_across_blocks():
+    # five levels: three split, a read certain after the cnot, and a re-read
+    c = cq.Circuit(3, [
+        cq.h(0), cq.Measure(0, 0), cq.cnot(0, 1), cq.Measure(1, 1), cq.h_theta(2, 0.3),
+        cq.Measure(2, 2), cq.Measure(2, 3), cq.h(1), cq.Measure(1, 4)])
+    init = np.eye(8)[0].astype(complex)
+    branches = [(b.record, b.probability) for b in cq.enumerate_branches(c, init)]
+    block = cq._SHOT_BLOCK
+    for shots in (block - 1, block, block + 1, 2 * block + 5):
+        assert cq.sample_shots(c, init, shots, seed=9) == helpers.sample_shots_naive(branches, shots, 9)
+
+
+def test_raw_draw_conversion_is_generator_random():
+    assert np.array_equal(np.random.Generator(cq._philox(7, 0)).random((300, 7)),
+                          cq._uniform(cq._philox(7, 0).random_raw((300, 7))))
+
+
+def test_chain_of_unlikely_outcomes_keeps_its_branch():
+    # each read gives 0 with probability 1e-6, and a 0 is rotated the same way again
+    t = 1e-6
+    r = cq.unitary(np.array([[math.sqrt(t), -math.sqrt(1 - t)], [math.sqrt(1 - t), math.sqrt(t)]]), [0])
+    c = cq.Circuit(1, [r, cq.Measure(0, 0)] + [cq.ConditionalGate(r, 0, 0), cq.Measure(0, 0)] * 2)
+    probs = {b.record: b.probability for b in cq.enumerate_branches(c, np.array([1.0, 0.0]))}
+    want = {"000": t**3, "001": t * t * (1 - t), "011": t * (1 - t), "111": 1 - t}
+    assert probs.keys() == want.keys()
+    assert all(math.isclose(probs[k], p, rel_tol=1e-9) for k, p in want.items())
 
 
 def test_sample_shots_record_length_cap():

@@ -389,12 +389,27 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
-def test_console_script_roundtrip(tmp_path):
-    # the child imports the package under test, however this process found it
+def child_env() -> dict:
+    """Environment in which a child imports the package under test, however this process found it."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_roundtrip(tmp_path):
+    env = child_env()
     argv = [sys.executable, "-m", "hhlsim.cli", "paper", "--input", "b3", "--shots", "500"]
     first = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.returncode == 0
     second = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert first.stdout == second.stdout
+
+
+def test_solve_never_imports_numpy_random(tmp_path):
+    # the measurement generator is built at the first draw, and solve draws none
+    m, v = write_problem(tmp_path)
+    code = ("import contextlib, io, sys\nfrom hhlsim import cli\n"
+            f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(['solve', '--matrix', {m!r}, '--vector', {v!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
