@@ -8,6 +8,10 @@ Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
 target axes, with controls taken as index views, so a k-qubit gate
 costs O(2**(n+k)) per statevector and no 2**n x 2**n operator is built.
+What the kernel derives from a gate's geometry alone (the array shape,
+the axis, the targets and the controls) is worked out once per geometry
+by :func:`_plan` and kept in a cache of at most _PLAN_CACHE_SIZE
+entries; circuits repeat a few dozen geometries over thousands of gates.
 The statevector backend handles pure states; the density-matrix backend
 applies the same kernel to the rows and then to the columns, and
 additionally applies depolarizing noise after gate applications. At
@@ -28,6 +32,7 @@ run without measurements never imports ``numpy.random``.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -44,6 +49,10 @@ MAX_SHOTS = 10**6
 _SHOT_BLOCK = 1 << 13
 # upper bound on sample_shots' record length; a record is read as an int64
 MAX_RECORD_BITS = 62
+# distinct gate geometries (array shape, axis, targets, controls) whose
+# contraction plan the kernel keeps; the benchmark's workloads use at
+# most about 120 each
+_PLAN_CACHE_SIZE = 1024
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -372,6 +381,32 @@ def _op_from_dict(d: dict):
     return controlled(g, *controls) if controls else g
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(shape: tuple[int, ...], axis: int, targets: tuple[int, ...], controls: tuple[int, ...]):
+    """How :func:`_apply` contracts a gate of this geometry into an array of this shape.
+
+    Returns the qubit-axis shape, the axis order that puts the targets
+    first (in descending qubit order, the order in which a row of the
+    dense embedding sums) and the controls last, the basic index that
+    fixes every control to 1, and, for k > 1, the axis order that
+    reorders the 2k bit axes of the matrix to match. Raises BadIndex for
+    a qubit beyond the array's width; exceptions are not cached.
+    """
+    n = num_qubits(shape[axis])
+    for q in targets + controls:
+        if q >= n:
+            raise BadIndex(f"qubit {q} out of range for {n} qubits")
+    k = len(targets)
+    # axis axis+n-1-q carries qubit q; bit i of the matrix index is targets[i]
+    order = sorted(range(k), key=lambda i: -targets[i])
+    lead = tuple(axis + n - 1 - targets[i] for i in order)
+    fixed = tuple(axis + n - 1 - c for c in controls)
+    split = shape[:axis] + (2,) * n + shape[axis + 1:]
+    rest = tuple(a for a in range(len(split)) if a not in lead and a not in fixed)
+    reorder = tuple(k - 1 - i for i in order) + tuple(2 * k - 1 - i for i in order) if k > 1 else None
+    return split, lead + rest + fixed, (Ellipsis,) + (1,) * len(fixed), reorder
+
+
 def _apply(block: np.ndarray, g: Gate, matrix: np.ndarray | None = None, axis: int = 0) -> np.ndarray:
     """Apply a gate to the qubit index ``axis`` of a 1-d or 2-d array.
 
@@ -385,28 +420,20 @@ def _apply(block: np.ndarray, g: Gate, matrix: np.ndarray | None = None, axis: i
     density-matrix backend passes its conjugate for the column index).
     Writes in place when the reshape is a view, which it is for
     C-contiguous input; use the returned array.
+
+    Everything derived from the geometry alone, the width check
+    included, comes from :func:`_plan`, cached on ``(block.shape, axis,
+    g.targets, g.controls)`` for at most _PLAN_CACHE_SIZE geometries;
+    the matrix is never part of the key.
     """
     m = g.matrix if matrix is None else matrix
-    n = num_qubits(block.shape[axis])
-    for q in g.targets + g.controls:
-        if q >= n:
-            raise BadIndex(f"qubit {q} out of range for {n} qubits")
-    t = block.reshape(block.shape[:axis] + (2,) * n + block.shape[axis + 1:])
-    k = len(g.targets)
-    # axis axis+n-1-q carries qubit q. Bit i of the matrix index is targets[i];
-    # contract in descending qubit order, the order in which a row of the
-    # dense embedding sums.
-    order = sorted(range(k), key=lambda i: -g.targets[i])
-    lead = [axis + n - 1 - g.targets[i] for i in order]
-    fixed = [axis + n - 1 - c for c in g.controls]
-    rest = [a for a in range(t.ndim) if a not in lead and a not in fixed]
-    if k > 1:
-        m = m.reshape((2,) * (2 * k)).transpose(
-            [k - 1 - i for i in order] + [2 * k - 1 - i for i in order]
-        ).reshape(1 << k, 1 << k)
+    split, perm, index, reorder = _plan(block.shape, axis, g.targets, g.controls)
+    t = block.reshape(split)
+    if reorder is not None:
+        m = m.reshape((2,) * len(reorder)).transpose(reorder).reshape(m.shape)
     # controls move last and are fixed to 1 by a basic index: still a view
-    view = t.transpose(lead + rest + fixed)[(Ellipsis,) + (1,) * len(fixed)]
-    view[...] = np.dot(m, view.reshape(1 << k, -1)).reshape(view.shape)
+    view = t.transpose(perm)[index]
+    view[...] = np.dot(m, view.reshape(m.shape[0], -1)).reshape(view.shape)
     return t.reshape(block.shape)
 
 

@@ -112,6 +112,23 @@ class HhlResult:
     gate_count: dict[str, int]
 
 
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """``v`` times the power of two that brings its largest part into [0.5, 1), and that power.
+
+    A norm of the result neither overflows nor underflows. The scaling
+    is exact, so wherever ``np.linalg.norm(v)`` neither overflows nor
+    underflows, the norm of the result divided by the power equals it
+    bit for bit, and so does the unit vector.
+    """
+    peak = float(max(np.max(np.abs(v.real)), np.max(np.abs(v.imag))))
+    # capped so that the power stays finite for a subnormal peak
+    scale = 2.0 ** min(-math.frexp(peak)[1], 1000)
+    # real and imaginary parts apart: a complex product would flip signed zeros
+    out = np.empty_like(v)
+    out.real, out.imag = v.real * scale, v.imag * scale
+    return out, scale
+
+
 def validate(p: HhlProblem) -> ValidationInfo:
     """Check the problem statement and classify its spectrum."""
     check_hermitian(p.a)
@@ -119,8 +136,10 @@ def validate(p: HhlProblem) -> ValidationInfo:
         raise DimensionMismatch(f"vector shape {p.b.shape} does not match matrix {p.a.shape}")
     if not np.all(np.isfinite(p.b)):
         raise NotNormalized("vector has a non-finite entry")
-    if abs(np.linalg.norm(p.b) - 1.0) > 1e-12:
-        raise NotNormalized(f"|b| = {np.linalg.norm(p.b)!r} is not 1")
+    unit, scale = _scaled(p.b)
+    norm = float(np.linalg.norm(unit)) / scale
+    if abs(norm - 1.0) > 1e-12:
+        raise NotNormalized(f"|b| = {norm!r} is not 1")
     spectrum = eigh(p.a)
     mags = np.abs(spectrum.eigenvalues)
     if mags.min() < 1e-10:
@@ -139,7 +158,8 @@ def validate(p: HhlProblem) -> ValidationInfo:
             raise DimensionMismatch(f"eigenvalue {float(lam)!r} at t0 = {p.t0!r} overflows the register")
         if abs(k - round(k)) > 1e-9 or not 1 <= round(k) <= top:
             exact = False
-    return ValidationInfo(float(mags.max() / mags.min()), exact, spectrum)
+    # Python floats: a ratio past the float range reads inf without a numpy warning
+    return ValidationInfo(float(mags.max()) / float(mags.min()), exact, spectrum)
 
 
 def _populated_values(p: HhlProblem, info: ValidationInfo) -> list[int]:
@@ -231,10 +251,10 @@ def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sing = np.linalg.svd(a, compute_uv=False)
     if sing.min() < 1e-10 * max(1.0, sing.max()):
         raise Singular("matrix is singular within tolerance")
-    x = np.linalg.solve(a, b)
-    norm = np.linalg.norm(x)
+    x, _ = _scaled(np.linalg.solve(a, b))
+    norm = float(np.linalg.norm(x))
     if not 0 < norm < math.inf:
-        raise NotNormalized(f"the solution cannot be normalized: its norm is {float(norm)!r}")
+        raise NotNormalized(f"the solution cannot be normalized: its norm is {norm!r}")
     return x / norm
 
 

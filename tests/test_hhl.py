@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,17 @@ def test_classical_solve():
         hhl.classical_solve(np.diag([0.0, 1.0]), B3)
     with pytest.raises(DimensionMismatch):
         hhl.classical_solve(A_REF, np.ones(3))
+
+
+@pytest.mark.filterwarnings("error")
+def test_norms_are_scale_safe():
+    # |x|^2 = 1e-400 underflows, but x = (1e-200, 0) is normalized all the same
+    x = hhl.classical_solve(np.diag([1e200, 1e200]), np.array([1.0, 0.0]))
+    assert np.array_equal(x, np.array([1.0, 0.0]))
+    # |b|^2 overflows; the message gives |b| as a plain float
+    for b, shown in (([1e200, 1.0], "1e+200"), ([1.0, 1.0], "1.4142135623730951")):
+        with pytest.raises(NotNormalized, match=rf"^\|b\| = {re.escape(shown)} is not 1$"):
+            hhl.validate(ref_problem(np.array(b)))
 
 
 def test_success_probability_formula():

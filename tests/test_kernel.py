@@ -4,12 +4,15 @@ Every backend path (statevector run, density-matrix run, the full
 unitary) must agree with ``helpers.embed_naive`` on random gates: any
 width, targets in any order and not necessarily adjacent, and controls.
 The bit view every projection and readout goes through must agree with
-``helpers.postselect_bits`` on vectors and density matrices.
+``helpers.postselect_bits`` on vectors and density matrices. The
+kernel's plan cache must serve every array shape of one geometry, keep
+checking the width, and stay within its bound.
 """
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +20,7 @@ import helpers
 from hhlsim import circuit as cq
 from hhlsim import compiled2x2 as c2
 from hhlsim import hhl
+from hhlsim.errors import BadIndex
 
 ATOL = 1e-12
 
@@ -131,3 +135,54 @@ def test_run_does_not_allocate_dense_operators():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(gates())
+def test_one_geometry_serves_every_array_shape(case):
+    # the plan is cached per array shape and axis; run every shape of one
+    # geometry back to back, twice, so the second round reads the cache
+    n, g, rng = case
+    u = naive_operator(g, n)
+    psi = random_state(rng, n)
+    rho = np.outer(psi, psi.conj()) + 0.1 * np.eye(1 << n)
+    block = rng.normal(size=(1 << n, 3)) + 1j * rng.normal(size=(1 << n, 3))
+    for _ in range(2):
+        assert np.max(np.abs(cq._apply(psi.copy(), g) - u @ psi)) < ATOL
+        assert np.max(np.abs(cq._apply(rho.copy(), g) - u @ rho)) < ATOL
+        cols = cq._apply(rho.copy(), g, g.matrix.conj(), axis=1)
+        assert np.max(np.abs(cols - rho @ u.conj().T)) < ATOL
+        assert np.max(np.abs(cq._apply(block.copy(), g) - u @ block)) < ATOL
+
+
+def test_cached_geometry_still_checks_the_width():
+    g = cq.controlled(cq.x(3), 0)
+    wide = np.zeros(16, dtype=complex)
+    wide[1] = 1.0
+    assert cq._apply(wide, g)[9] == 1.0
+    for _ in range(2):
+        with pytest.raises(BadIndex):
+            cq._apply(np.zeros(8, dtype=complex), g)
+    # a narrower axis of a 2-d array is checked too
+    with pytest.raises(BadIndex):
+        cq._apply(np.zeros((16, 8), dtype=complex), g, axis=1)
+
+
+def test_plan_cache_stays_bounded():
+    cq._plan.cache_clear()
+    rng = np.random.default_rng(5)
+    g = cq.controlled(cq.unitary(helpers.random_unitary(rng, 4), (2, 0)), 1)
+    u = naive_operator(g, 3)
+    # each batch width is a distinct geometry
+    widths = range(1, cq._PLAN_CACHE_SIZE + 50)
+    for batch in widths:
+        block = rng.normal(size=(8, batch)) + 0j
+        got = cq._apply(block.copy(), g)
+        if batch % 97 == 1 or batch > cq._PLAN_CACHE_SIZE:
+            assert np.max(np.abs(got - u @ block)) < ATOL
+    info = cq._plan.cache_info()
+    assert info.currsize <= cq._PLAN_CACHE_SIZE
+    assert info.misses >= len(widths)
+    # the first geometries were evicted and are planned again correctly
+    block = rng.normal(size=(8, 1)) + 0j
+    assert np.max(np.abs(cq._apply(block.copy(), g) - u @ block)) < ATOL
