@@ -8,7 +8,7 @@ for the bundled 2x2 instance, ``analysis`` observables and reports, and
 """
 
 from .circuit import Circuit, ConditionalGate, Gate, Measure, NoiseSpec, RunOutcome
-from .compiled2x2 import CompiledConfig, QubitRoles, run_compiled
+from .compiled2x2 import CompiledConfig, run_compiled
 from .errors import (
     BadFlag,
     BadIndex,
@@ -52,7 +52,6 @@ __all__ = [
     "NotPositiveDefinite",
     "PauliExpectations",
     "PauliReport",
-    "QubitRoles",
     "RunOutcome",
     "SimulationError",
     "Singular",

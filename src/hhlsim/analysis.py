@@ -28,7 +28,7 @@ from . import compiled2x2 as c2
 from . import hhl
 from .errors import BadFlag, DimensionMismatch, UnphysicalExpectations, ZeroProbability
 from .hhl import HhlProblem, classical_solve, initial_state, pipeline_circuit, run_hhl
-from .qstate import density, fidelity, partial_trace, tensor
+from .qstate import density, fidelity, partial_trace
 
 _PAULI = {"z": qc.z(0).matrix, "x": qc.x(0).matrix, "y": qc.y(0).matrix}
 _H = qc.h(0).matrix
@@ -133,19 +133,13 @@ FRAME_OPS = {
 
 
 def apply_frame(state: np.ndarray, frame: dict[int, str]) -> np.ndarray:
-    """Apply one local operation per qubit; missing qubits get identity."""
+    """Apply one local operation per qubit of a statevector; missing qubits get identity."""
     arr = np.asarray(state, dtype=complex)
-    n = arr.size.bit_length() - 1
-    mats = [FRAME_OPS[frame.get(q, "I")] for q in range(n - 1, -1, -1)]
-    return tensor(*mats) @ arr
+    ops = [qc.unitary(FRAME_OPS[name], [q], name="frame") for q, name in frame.items()]
+    return qc.run(qc.Circuit(arr.size.bit_length() - 1, ops), arr).state
 
 
-COMPILED_GHZ_FRAME: dict[int, str] = {
-    c2.QubitRoles().ancilla: "I",
-    c2.QubitRoles().register_r1: "I",
-    c2.QubitRoles().register_r2: "X",
-    c2.QubitRoles().input: "H",
-}
+COMPILED_GHZ_FRAME: dict[int, str] = {c2.ANCILLA: "I", c2.R1: "I", c2.R2: "X", c2.INPUT: "H"}
 """Exact frame carrying the compiled b3 mid-circuit state onto the GHZ form."""
 
 
@@ -192,9 +186,9 @@ class PauliReport:
     entries: tuple[PauliReportEntry, ...]
 
 
-def reference_problem(b: np.ndarray, c_const: float = 1.0) -> HhlProblem:
-    """The 2x2 reference instance on the generic pipeline."""
-    return HhlProblem(a=c2.SYSTEM_MATRIX, b=b, n_register=2, c_const=c_const)
+def reference_problem(b: np.ndarray) -> HhlProblem:
+    """The 2x2 reference instance on the generic pipeline, at C = 1."""
+    return HhlProblem(a=c2.SYSTEM_MATRIX, b=b, n_register=2, c_const=1.0)
 
 
 def _resolve_input(name_or_vec) -> tuple[str, np.ndarray]:
@@ -248,7 +242,7 @@ def _measurement_layout(mode: str, vec: np.ndarray, feedforward: str):
     if mode == "compiled":
         cfg = c2.CompiledConfig(input_b=vec, feedforward=feedforward)
         circ = c2.build_compiled_circuit(cfg)
-        return circ, c2.initial_state(cfg), c2.heralds(cfg), cfg.roles.input
+        return circ, c2.initial_state(cfg), c2.heralds(cfg), c2.INPUT
     return _problem_layout(reference_problem(vec))
 
 

@@ -8,6 +8,9 @@ Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
 target axes, with controls taken as index views, so a k-qubit gate
 costs O(2**(n+k)) per statevector and no 2**n x 2**n operator is built.
+Every gate application goes through it; the one 2**n x 2**n operator
+the package builds is :meth:`Circuit.unitary_matrix`, the kernel applied
+to the identity, and only when a caller asks for it.
 What the kernel derives from a gate's geometry alone (the array shape,
 the axis, the targets and the controls) is worked out once per geometry
 by :func:`_plan` and kept in a cache of at most _PLAN_CACHE_SIZE
@@ -23,7 +26,8 @@ a policy picks the outcomes to follow: :func:`run` collapses on one
 seeded draw, :func:`enumerate_branches` follows both. One projector,
 :func:`post_select`, serves vectors and density matrices. Projections
 and register readouts in both backends, and in the solvers built on
-them, go through one bit view, :func:`_bit_view`.
+them, go through one bit view, :func:`_bit_view`, and every branch
+weight through :func:`_weight`.
 
 Measurement randomness comes from a counter-based Philox generator
 keyed by (seed, shot index), so shot sampling is reproducible and
@@ -246,37 +250,6 @@ class Circuit:
             inv.append(op.dagger())
         return Circuit(self.qubits, inv)
 
-    def remapped(self, mapping: dict[int, int], qubits: int | None = None) -> "Circuit":
-        """Relabel qubit indices through ``mapping``."""
-        def move(q: int) -> int:
-            return int(mapping.get(q, q))
-
-        ops = []
-        for op in self.ops:
-            if isinstance(op, Gate):
-                ops.append(
-                    replace(
-                        op,
-                        targets=tuple(move(q) for q in op.targets),
-                        controls=tuple(move(q) for q in op.controls),
-                    )
-                )
-            elif isinstance(op, Measure):
-                ops.append(Measure(move(op.qubit), op.slot))
-            else:
-                ops.append(
-                    ConditionalGate(
-                        replace(
-                            op.gate,
-                            targets=tuple(move(q) for q in op.gate.targets),
-                            controls=tuple(move(q) for q in op.gate.controls),
-                        ),
-                        op.slot,
-                        op.outcome,
-                    )
-                )
-        return Circuit(self.qubits if qubits is None else qubits, ops)
-
     def unitary_matrix(self) -> np.ndarray:
         """Full 2**q unitary of a measurement-free circuit."""
         u = np.eye(1 << self.qubits, dtype=complex)
@@ -437,11 +410,6 @@ def _apply(block: np.ndarray, g: Gate, matrix: np.ndarray | None = None, axis: i
     return t.reshape(block.shape)
 
 
-def embedded_unitary(g: Gate, n: int) -> np.ndarray:
-    """Full 2**n unitary of a gate: the kernel applied to the identity."""
-    return _apply(np.eye(1 << n, dtype=complex), g)
-
-
 def _bit_view(arr: np.ndarray, fixed: dict[int, int]) -> np.ndarray:
     """Basic-index view of the entries whose bits match ``fixed``.
 
@@ -468,11 +436,11 @@ def _project(arr: np.ndarray, qubit: int, outcome: int) -> np.ndarray:
     return out
 
 
-def _weight(arr: np.ndarray, qubit: int, outcome: int) -> float:
-    """Probability of reading ``outcome`` on ``qubit``."""
+def _weight(arr: np.ndarray, fixed: dict[int, int]) -> float:
+    """Probability of reading the bits ``fixed`` maps each qubit to."""
     if arr.ndim == 1:
-        return float(np.sum(np.abs(_bit_view(arr, {qubit: outcome})) ** 2))
-    return float(np.sum(np.abs(_bit_view(np.diag(arr), {qubit: outcome}))).real)
+        return float(np.sum(np.abs(_bit_view(arr, fixed)) ** 2))
+    return float(np.sum(np.abs(_bit_view(np.diag(arr), fixed))).real)
 
 
 @dataclass(frozen=True)
@@ -545,7 +513,7 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
             if isinstance(op, Gate):
                 state = touch(state, op)
             elif isinstance(op, Measure):
-                weights = (_weight(state, op.qubit, 0), _weight(state, op.qubit, 1))
+                weights = (_weight(state, {op.qubit: 0}), _weight(state, {op.qubit: 1}))
                 # pushed last-first, so the first outcome is walked first
                 for outcome in reversed(policy(weights)):
                     p = weights[outcome]
@@ -730,19 +698,21 @@ def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:
     return out
 
 
+def _qft_ops(wires) -> list:
+    """Quantum Fourier transform ops on ``wires``; ``wires[i]`` carries bit i."""
+    n = len(wires)
+    ops = []
+    for i in range(n - 1, -1, -1):
+        ops.append(h(wires[i]))
+        for dist, ctrl in enumerate(range(i - 1, -1, -1), start=2):
+            ops.append(controlled(phase(wires[i], 2 * math.pi / (1 << dist)), wires[ctrl]))
+    for i in range(n // 2):
+        ops.append(swap(wires[i], wires[n - 1 - i]))
+    return ops
+
+
 def qft(n: int) -> Circuit:
     """Quantum Fourier transform; matrix entries exp(2j*pi*j*k/2**n)/2**(n/2)."""
     if n < 1:
         raise BadIndex(f"qft needs at least one qubit, got {n}")
-    ops = []
-    for i in range(n - 1, -1, -1):
-        ops.append(h(i))
-        for dist, ctrl in enumerate(range(i - 1, -1, -1), start=2):
-            ops.append(controlled(phase(i, 2 * math.pi / (1 << dist)), ctrl))
-    for i in range(n // 2):
-        ops.append(swap(i, n - 1 - i))
-    return Circuit(n, ops)
-
-
-def inverse_qft(n: int) -> Circuit:
-    return qft(n).inverse()
+    return Circuit(n, _qft_ops(range(n)))

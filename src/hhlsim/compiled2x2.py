@@ -6,7 +6,7 @@ qubits and t0 = 2*pi, eigenvalue 1 maps to register |R1 R2> = |01> and
 eigenvalue 2 to |10> (value = 2*R1 + R2). On this two-point spectrum the
 reciprocal 1/lambda is the swap R1 <-> R2, since 2/1 = 2 and 2/2 = 1.
 
-Circuit layout (default roles: ancilla=0, R2=1, R1=2, input=3):
+Circuit layout, fixed wires ANCILLA = 0, R2 = 1, R1 = 2, INPUT = 3:
 
   stage 1, phase estimation. The textbook form ends with a swap that
   cancels against the reciprocal swap, so both are elided and the
@@ -49,12 +49,12 @@ equally, this is a GHZ-class state, carried into canonical form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import circuit as qc
-from .errors import BadFlag, BadIndex, DimensionMismatch, NotNormalized
+from .errors import BadFlag, DimensionMismatch, NotNormalized
 from .hhl import HhlResult, classical_solve
 from .qstate import state_fidelity
 
@@ -75,18 +75,8 @@ U_PLUS = np.array([1.0, 1.0], dtype=complex) / _S2
 U_MINUS = np.array([1.0, -1.0], dtype=complex) / _S2
 
 
-@dataclass(frozen=True)
-class QubitRoles:
-    """Wire assignment; must be a permutation of {0, 1, 2, 3}."""
-
-    ancilla: int = 0
-    register_r1: int = 2
-    register_r2: int = 1
-    input: int = 3
-
-    def __post_init__(self):
-        if sorted((self.ancilla, self.register_r1, self.register_r2, self.input)) != [0, 1, 2, 3]:
-            raise BadIndex("qubit roles must be a permutation of 0..3")
+# the circuit's wires; register value = 2*R1 + R2
+ANCILLA, R2, R1, INPUT = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
@@ -97,7 +87,6 @@ class CompiledConfig:
     feedforward: str = "unitary"
     theta_big: float = THETA_BIG
     theta_small: float = THETA_SMALL
-    roles: QubitRoles = field(default_factory=QubitRoles)
 
     def __post_init__(self):
         if self.feedforward not in ("unitary", "semiclassical"):
@@ -129,37 +118,29 @@ def initial_state(cfg: CompiledConfig) -> np.ndarray:
     b = input_vector(cfg)
     vec = np.zeros(16, dtype=complex)
     for j, amp in enumerate(b):
-        vec[j << cfg.roles.input] = amp
+        vec[j << INPUT] = amp
     return vec
 
 
-def _phase_estimation_ops(r: QubitRoles) -> list:
-    return [
-        qc.h(r.input),
-        qc.cnot(r.input, r.register_r1),
-        qc.cnot(r.input, r.register_r2),
-        qc.x(r.register_r2),
-        qc.h(r.input),
-    ]
+def _phase_estimation_ops() -> list:
+    return [qc.h(INPUT), qc.cnot(INPUT, R1), qc.cnot(INPUT, R2), qc.x(R2), qc.h(INPUT)]
 
 
 def _rotation_ops(cfg: CompiledConfig) -> list:
-    r = cfg.roles
     return [
-        qc.controlled(qc.h_theta(r.ancilla, cfg.theta_big), r.register_r1),
-        qc.controlled(qc.h_theta(r.ancilla, cfg.theta_small), r.register_r2),
+        qc.controlled(qc.h_theta(ANCILLA, cfg.theta_big), R1),
+        qc.controlled(qc.h_theta(ANCILLA, cfg.theta_small), R2),
     ]
 
 
 def _readout_ops(cfg: CompiledConfig) -> list:
-    r = cfg.roles
-    ops: list = [qc.h(r.register_r1), qc.h(r.register_r2)]
+    ops: list = [qc.h(R1), qc.h(R2)]
     if cfg.feedforward == "semiclassical":
         ops += [
-            qc.Measure(r.register_r1, 0),
-            qc.Measure(r.register_r2, 1),
-            qc.ConditionalGate(qc.x(r.input), 0, 1),
-            qc.ConditionalGate(qc.x(r.input), 1, 1),
+            qc.Measure(R1, 0),
+            qc.Measure(R2, 1),
+            qc.ConditionalGate(qc.x(INPUT), 0, 1),
+            qc.ConditionalGate(qc.x(INPUT), 1, 1),
         ]
     return ops
 
@@ -171,7 +152,7 @@ def build_compiled_circuit(cfg: CompiledConfig) -> qc.Circuit:
     either mode; the semiclassical readout adds only measurements and
     classically conditioned single-qubit flips.
     """
-    return qc.Circuit(4, _phase_estimation_ops(cfg.roles) + _rotation_ops(cfg) + _readout_ops(cfg))
+    return qc.Circuit(4, _phase_estimation_ops() + _rotation_ops(cfg) + _readout_ops(cfg))
 
 
 def heralds(cfg: CompiledConfig) -> list[tuple[int, int]]:
@@ -181,9 +162,8 @@ def heralds(cfg: CompiledConfig) -> list[tuple[int, int]]:
     on |1>; the semiclassical one keeps the ancilla alone, since its
     conditional flips make every register record equivalent.
     """
-    r = cfg.roles
-    regs = [(r.register_r1, 0), (r.register_r2, 0)] if cfg.feedforward == "unitary" else []
-    return regs + [(r.ancilla, 1)]
+    regs = [(R1, 0), (R2, 0)] if cfg.feedforward == "unitary" else []
+    return regs + [(ANCILLA, 1)]
 
 
 def run_compiled(cfg: CompiledConfig, seed: int = 0) -> HhlResult:
@@ -195,14 +175,13 @@ def run_compiled(cfg: CompiledConfig, seed: int = 0) -> HhlResult:
     probability is the ancilla branch probability, post-selected last,
     which in both modes equals sum_j |beta_j|^2 sin^2(2 theta_j).
     """
-    r = cfg.roles
     circ = build_compiled_circuit(cfg)
     out = qc.run(circ, initial_state(cfg), seed=seed)
     state = out.state
     for wire, outcome in heralds(cfg):
         state, p_success = qc.post_select(state, wire, outcome)
     bits = out.classical_bits
-    fixed = {r.register_r1: bits.get(0, 0), r.register_r2: bits.get(1, 0), r.ancilla: 1}
+    fixed = {R1: bits.get(0, 0), R2: bits.get(1, 0), ANCILLA: 1}
     x = qc._bit_view(state, fixed)
     x = x / np.linalg.norm(x)
 
@@ -211,11 +190,10 @@ def run_compiled(cfg: CompiledConfig, seed: int = 0) -> HhlResult:
 
     # the coherent uncompute is exact on this circuit; use it to certify
     # that the inverse estimation disentangles the register
-    pe = _phase_estimation_ops(r)
+    pe = _phase_estimation_ops()
     probe = qc.Circuit(4, pe + _rotation_ops(cfg) + list(qc.Circuit(4, pe).inverse().ops))
     probe_state = qc.run(probe, initial_state(cfg)).state
-    zero = qc._bit_view(probe_state, {r.register_r1: 0, r.register_r2: 0})
-    residual = 1.0 - float(np.sum(np.abs(zero) ** 2))
+    residual = 1.0 - qc._weight(probe_state, {R1: 0, R2: 0})
 
     census = circ.gate_census()
     census["entangling"] = circ.entangling_count()
@@ -247,12 +225,10 @@ def intermediate_state(cfg: CompiledConfig, stage: str) -> np.ndarray:
     correlation (see the module docstring); the branch corrections that
     complete the two controlled rotations are still pending there.
     """
-    r = cfg.roles
-    ops = _phase_estimation_ops(r)
-    key = stage.replace("-", "_")
-    if key == "after_rotation":
-        ops = ops + [qc.cnot(r.register_r1, r.ancilla)]
-    elif key != "after_phase_estimation":
+    ops = _phase_estimation_ops()
+    if stage == "after_rotation":
+        ops.append(qc.cnot(R1, ANCILLA))
+    elif stage != "after_phase_estimation":
         raise BadFlag(f"unknown stage {stage!r}")
     return qc.run(qc.Circuit(4, ops), initial_state(cfg)).state
 
@@ -263,26 +239,20 @@ def reciprocal_swap_check() -> bool:
     Register value 2*R1 + R2 maps |01> <-> |10>, i.e. value k to 2/k,
     and 2/k equals C/lambda in units C = 2 on this spectrum.
     """
-    roles = QubitRoles()
-    mat = qc.embedded_unitary(qc.swap(roles.register_r1, roles.register_r2), 4)
+    swap = qc.Circuit(4, [qc.swap(R1, R2)])
     for k_in, k_out in ((1, 2), (2, 1)):
         if k_out != 2 // k_in:
             return False
-        src = _register_basis_index(roles, k_in)
-        dst = _register_basis_index(roles, k_out)
         col = np.zeros(16)
-        col[src] = 1.0
-        got = mat @ col
+        col[_register_basis_index(k_in)] = 1.0
+        got = qc.run(swap, col).state
+        dst = _register_basis_index(k_out)
         if abs(got[dst] - 1.0) > 1e-12 or abs(np.linalg.norm(got) - 1.0) > 1e-12:
             return False
     return True
 
 
-def _register_basis_index(roles: QubitRoles, value: int) -> int:
-    idx = 0
-    if value & 0b10:
-        idx |= 1 << roles.register_r1
-    if value & 0b01:
-        idx |= 1 << roles.register_r2
-    return idx
+def _register_basis_index(value: int) -> int:
+    """Basis index of the register holding ``value``, every other wire at |0>."""
+    return ((value >> 1) & 1) << R1 | (value & 1) << R2
 

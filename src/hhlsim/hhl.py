@@ -129,6 +129,17 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
     return out, scale
 
 
+def _condition_number(sing: np.ndarray) -> float:
+    """Largest over smallest singular value; raises Singular when the
+    smallest is below 1e-10 times the larger of 1 and the largest."""
+    lo, hi = float(sing.min()), float(sing.max())
+    # Python floats: a ratio past the float range reads inf without a numpy warning
+    kappa = hi / lo if lo > 0.0 else math.inf
+    if lo < 1e-10 * max(1.0, hi):
+        raise Singular(f"matrix is singular within tolerance: condition number {kappa:g}")
+    return kappa
+
+
 def validate(p: HhlProblem) -> ValidationInfo:
     """Check the problem statement and classify its spectrum."""
     check_hermitian(p.a)
@@ -141,9 +152,7 @@ def validate(p: HhlProblem) -> ValidationInfo:
     if abs(norm - 1.0) > 1e-12:
         raise NotNormalized(f"|b| = {norm!r} is not 1")
     spectrum = eigh(p.a)
-    mags = np.abs(spectrum.eigenvalues)
-    if mags.min() < 1e-10:
-        raise Singular("matrix is singular: an eigenvalue sits within 1e-10 of zero")
+    kappa = _condition_number(np.abs(spectrum.eigenvalues))
     lam_min = float(spectrum.eigenvalues.min())
     if lam_min < 0:
         # the register holds unsigned values: a negative eigenvalue would
@@ -158,8 +167,7 @@ def validate(p: HhlProblem) -> ValidationInfo:
             raise DimensionMismatch(f"eigenvalue {float(lam)!r} at t0 = {p.t0!r} overflows the register")
         if abs(k - round(k)) > 1e-9 or not 1 <= round(k) <= top:
             exact = False
-    # Python floats: a ratio past the float range reads inf without a numpy warning
-    return ValidationInfo(float(mags.max()) / float(mags.min()), exact, spectrum)
+    return ValidationInfo(kappa, exact, spectrum)
 
 
 def _populated_values(p: HhlProblem, info: ValidationInfo) -> list[int]:
@@ -205,9 +213,8 @@ def phase_estimation_circuit(p: HhlProblem) -> qc.Circuit:
     for i in range(n):
         u = exp_unitary(p.a, p.t0 * (1 << i) / big_t)
         ops.append(qc.controlled(qc.unitary(u, p.input_qubits()), 1 + i))
-    pe = qc.Circuit(p.qubits, ops)
-    iqft = qc.inverse_qft(n).remapped({i: 1 + i for i in range(n)}, qubits=p.qubits)
-    return pe.then(iqft)
+    iqft = qc.Circuit(p.qubits, qc._qft_ops(p.register_qubits())).inverse()
+    return qc.Circuit(p.qubits, ops).then(iqft)
 
 
 def reciprocal_rotation_circuit(p: HhlProblem) -> qc.Circuit:
@@ -248,9 +255,7 @@ def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
         raise DimensionMismatch(f"incompatible shapes {a.shape} and {b.shape}")
-    sing = np.linalg.svd(a, compute_uv=False)
-    if sing.min() < 1e-10 * max(1.0, sing.max()):
-        raise Singular("matrix is singular within tolerance")
+    _condition_number(np.linalg.svd(a, compute_uv=False))
     x, _ = _scaled(np.linalg.solve(a, b))
     norm = float(np.linalg.norm(x))
     if not 0 < norm < math.inf:
@@ -281,12 +286,6 @@ def heralds(p: HhlProblem) -> list[tuple[int, int]]:
     return [(q, 0) for q in p.register_qubits()] + [(0, 1)]
 
 
-def _register_zero_weight(p: HhlProblem, state: np.ndarray) -> float:
-    """Probability of reading all-zeros on the register qubits."""
-    zero = qc._bit_view(state, dict.fromkeys(p.register_qubits(), 0))
-    return float(np.sum(np.abs(zero) ** 2))
-
-
 def run_hhl(p: HhlProblem) -> HhlResult:
     """Execute the full pipeline and post-select the ancilla on |1>.
 
@@ -299,9 +298,10 @@ def run_hhl(p: HhlProblem) -> HhlResult:
     pe = phase_estimation_circuit(p)
     rot = reciprocal_rotation_circuit(p)
     inv = pe.inverse()
+    register_zero = dict.fromkeys(p.register_qubits(), 0)
 
     state = qc.run(pe, initial_state(p)).state
-    if info.exact and _register_zero_weight(p, state) > 1e-10:
+    if info.exact and qc._weight(state, register_zero) > 1e-10:
         # an exact nonsingular spectrum leaves no weight on register value 0,
         # where the reciprocal rotation is undefined
         raise Singular("phase estimation put weight on register value zero")
@@ -309,7 +309,7 @@ def run_hhl(p: HhlProblem) -> HhlResult:
     state = qc.run(inv, state).state
 
     state, p_success = qc.post_select(state, 0, 1)
-    residual = 1.0 - _register_zero_weight(p, state)
+    residual = 1.0 - qc._weight(state, register_zero)
     register_reset_ok = residual < 1e-10
 
     x = qc._bit_view(state, dict(heralds(p))).reshape(-1)

@@ -2,8 +2,8 @@
 
 Conventions shared by every module in this package:
 
-* qubit 0 is the least significant bit of a basis-state index,
-* ``tensor`` puts its left factor on the higher qubit indices,
+* qubit 0 is the least significant bit of a basis-state index, so in
+  ``np.kron(a, b)`` the left factor ``a`` sits on the higher qubits,
 * global phase is never enforced; states are compared through overlaps
   such as ``|<a|b>|**2`` rather than component by component.
 
@@ -11,7 +11,8 @@ Matrix exponentials are computed spectrally from the Hermitian
 eigendecomposition. The matrices here are the problem's own (the system
 matrix, its powers, single-qubit observables) and reduced density
 matrices, all small and dense. Gates on the full register never become
-dense matrices: ``circuit`` applies them by axis contraction.
+dense matrices: ``circuit`` applies them by axis contraction, and its
+``Circuit.unitary_matrix`` is the one full-register operator it builds.
 """
 from __future__ import annotations
 
@@ -69,20 +70,6 @@ def exp_unitary(a: np.ndarray, t: float) -> np.ndarray:
     dec = eigh(a)
     v = dec.eigenvectors
     return (v * np.exp(1j * dec.eigenvalues * t)) @ v.conj().T
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product; the left factor lands on the higher qubit indices."""
-    if not factors:
-        raise DimensionMismatch("tensor of no factors")
-    arrays = [np.asarray(f, dtype=complex) for f in factors]
-    ndim = arrays[0].ndim
-    if any(a.ndim != ndim for a in arrays) or ndim not in (1, 2):
-        raise DimensionMismatch("tensor factors must be all vectors or all matrices")
-    out = arrays[0]
-    for a in arrays[1:]:
-        out = np.kron(out, a)
-    return out
 
 
 def density(vec: np.ndarray) -> np.ndarray:

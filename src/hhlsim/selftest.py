@@ -8,7 +8,6 @@ hook, which overrides the larger rotation angle) cannot pass.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -205,9 +204,8 @@ CHECKS = [
 ]
 
 
-def run_selftest(corrupt_angle: float | None = None, stream=None) -> bool:
+def run_selftest(corrupt_angle: float | None = None) -> bool:
     """Run every check, print one row each, return overall success."""
-    out = stream if stream is not None else sys.stdout
     theta = c2.THETA_BIG if corrupt_angle is None else corrupt_angle
     width = max(len(name) for name, _fn in CHECKS)
     passed = 0
@@ -218,8 +216,8 @@ def run_selftest(corrupt_angle: float | None = None, stream=None) -> bool:
             detail = f"{type(exc).__name__}: {exc}"
         if detail is None:
             passed += 1
-            print(f"pass  {name}", file=out)
+            print(f"pass  {name}")
         else:
-            print(f"FAIL  {name:<{width}}  {detail}", file=out)
-    print(f"{passed}/{len(CHECKS)} checks passed", file=out)
+            print(f"FAIL  {name:<{width}}  {detail}")
+    print(f"{passed}/{len(CHECKS)} checks passed")
     return passed == len(CHECKS)

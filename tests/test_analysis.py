@@ -107,6 +107,25 @@ def test_frame_search_finds_documented_frame():
     assert best <= 0.5 + 1e-12
 
 
+def test_apply_frame_matches_kron_reference():
+    # every frame entry on every qubit of 1-5 qubits, the other qubits each
+    # either left out of the frame or given a random entry
+    rng = np.random.default_rng(29)
+    names = list(an.FRAME_OPS)
+    for n in range(1, 6):
+        for q in range(n):
+            for name in names:
+                frame = {r: names[int(rng.integers(len(names)))]
+                         for r in range(n) if r != q and rng.random() < 0.5}
+                frame[q] = name
+                psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                psi /= np.linalg.norm(psi)
+                op = np.eye(1, dtype=complex)
+                for r in range(n - 1, -1, -1):
+                    op = np.kron(op, helpers.FRAME_MATS[frame.get(r, "I")])
+                assert np.max(np.abs(an.apply_frame(psi, frame) - op @ psi)) < 1e-12
+
+
 def test_compiled_ghz_state():
     state = an.compiled_ghz_state()
     assert np.isclose(an.ghz_fidelity(state), 1.0, atol=1e-12)

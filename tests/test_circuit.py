@@ -71,8 +71,8 @@ def test_dagger_inverts():
         cq.unitary(helpers.random_unitary(rng, 4), [0, 2]),
     ]
     for g in gates:
-        u = cq.embedded_unitary(g, 3)
-        v = cq.embedded_unitary(g.dagger(), 3)
+        u = cq.Circuit(3, [g]).unitary_matrix()
+        v = cq.Circuit(3, [g.dagger()]).unitary_matrix()
         assert np.allclose(u @ v, np.eye(8), atol=1e-12)
         assert g.dagger().controls == g.controls
 
@@ -95,27 +95,27 @@ def test_embedded_unitary_against_naive():
         n = int(rng.integers(1, 6))
         q = int(rng.integers(0, n))
         g = cq.unitary(random_1q(rng), [q])
-        assert np.allclose(cq.embedded_unitary(g, n), helpers.embed_naive(g.matrix, [q], n),
-                           atol=1e-12)
+        assert np.allclose(cq.Circuit(n, [g]).unitary_matrix(),
+                           helpers.embed_naive(g.matrix, [q], n), atol=1e-12)
     for _ in range(300):
         n = int(rng.integers(2, 6))
         a, b = rng.choice(n, size=2, replace=False)
         g = cq.unitary(helpers.random_unitary(rng, 4), [int(a), int(b)])
-        assert np.allclose(cq.embedded_unitary(g, n),
+        assert np.allclose(cq.Circuit(n, [g]).unitary_matrix(),
                            helpers.embed_naive(g.matrix, [int(a), int(b)], n), atol=1e-12)
     for _ in range(300):
         n = int(rng.integers(2, 6))
         ctrl, tgt = rng.choice(n, size=2, replace=False)
         u = random_1q(rng)
         g = cq.controlled(cq.unitary(u, [int(tgt)]), int(ctrl))
-        assert np.allclose(cq.embedded_unitary(g, n),
+        assert np.allclose(cq.Circuit(n, [g]).unitary_matrix(),
                            helpers.controlled_1q(u, int(ctrl), int(tgt), n), atol=1e-12)
 
 
 def test_multi_control_embedding():
     # ccx on 3 qubits: flips the target only when both controls are 1
     g = cq.controlled(cq.x(0), 1, 2)
-    u = cq.embedded_unitary(g, 3)
+    u = cq.Circuit(3, [g]).unitary_matrix()
     expect = np.eye(8)
     expect[[0b110, 0b111]] = expect[[0b111, 0b110]]
     assert np.allclose(u, expect)
@@ -164,25 +164,13 @@ def test_then_and_inverse():
         cq.Circuit(1, [cq.Measure(0, 0)]).inverse()
 
 
-def test_remapped():
-    c = cq.Circuit(2, [cq.cnot(0, 1)])
-    r = c.remapped({0: 1, 1: 0})
-    assert np.allclose(r.unitary_matrix(), helpers.controlled_1q(helpers.X, 1, 0, 2))
-    wide = c.remapped({0: 2, 1: 0}, qubits=3)
-    assert wide.qubits == 3
-    assert np.allclose(wide.unitary_matrix(), helpers.controlled_1q(helpers.X, 2, 0, 3))
-    m = cq.Circuit(2, [cq.Measure(0, 0), cq.ConditionalGate(cq.x(1), 0, 1)])
-    rm = m.remapped({0: 1, 1: 0})
-    assert rm.ops[0].qubit == 1 and rm.ops[1].gate.targets == (0,)
-
-
 def test_qft_matrix():
     for n in range(1, 4):
         dim = 1 << n
         j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
         dft = np.exp(2j * math.pi * j * k / dim) / math.sqrt(dim)
         assert np.allclose(cq.qft(n).unitary_matrix(), dft, atol=1e-12)
-        assert np.allclose(cq.inverse_qft(n).unitary_matrix(), dft.conj().T, atol=1e-12)
+        assert np.allclose(cq.qft(n).inverse().unitary_matrix(), dft.conj().T, atol=1e-12)
     with pytest.raises(BadIndex):
         cq.qft(0)
 

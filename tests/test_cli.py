@@ -94,6 +94,19 @@ def test_solve_singular_matrix(tmp_path, capsys):
     assert "singular" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix, kappa", [
+    ([[1.0, 0.0], [0.0, 1e200]], "1e+200"),
+    ([[1e-9, 0.0], [0.0, 1e300]], "inf"),
+    ([[1.0, 0.0], [0.0, 1e11]], "1e+11"),
+])
+def test_solve_rejects_ill_conditioned_matrix(tmp_path, capsys, matrix, kappa):
+    m, v = write_problem(tmp_path, matrix=matrix, vector=(0.6, 0.8))
+    code, out, err = run_cli(capsys, ["solve", "--matrix", m, "--vector", v])
+    assert code == 2 and out == ""
+    assert "singular" in err and f"condition number {kappa}" in err
+
+
 def test_solve_validation_failures(tmp_path, capsys):
     # malformed JSON
     bad = tmp_path / "bad.json"

@@ -116,6 +116,42 @@ def test_reciprocal_rotation_census_and_bounds():
     assert rot2.gate_census()["cch_theta"] == 2
 
 
+def test_phase_estimation_ends_with_register_inverse_qft():
+    # n Hadamards and n controlled powers, then the inverse QFT on the
+    # register alone: identity on the solution qubits and the ancilla
+    for n in range(1, 5):
+        p = hhl.HhlProblem(A_REF, B3, n)
+        pe = hhl.phase_estimation_circuit(p)
+        assert [op.name for op in pe.ops[:n]] == ["h"] * n
+        block = cq.Circuit(p.qubits, pe.ops[2 * n:]).unitary_matrix()
+        dim = 1 << n
+        j, k = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+        idft = np.exp(-2j * math.pi * j * k / dim) / math.sqrt(dim)
+        want = np.kron(np.eye(p.dim), np.kron(idft, np.eye(2)))
+        assert np.max(np.abs(block - want)) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_ill_conditioned_matrix_rejected_before_any_circuit(monkeypatch):
+    def unreachable(p):
+        raise AssertionError("phase estimation built for a rejected matrix")
+
+    monkeypatch.setattr(hhl, "phase_estimation_circuit", unreachable)
+    b = np.array([0.6, 0.8])
+    with pytest.raises(Singular, match=r"condition number 1e\+200"):
+        hhl.run_hhl(hhl.HhlProblem(np.diag([1.0, 1e200]), b, 2))
+    # a zero eigenvalue reads inf, with no division error or warning
+    with pytest.raises(Singular, match="condition number inf"):
+        hhl.validate(hhl.HhlProblem(np.diag([0.0, 2.0]), b, 2))
+    # the classical solve applies the same rule to singular values
+    with pytest.raises(Singular, match=r"condition number 1e\+200"):
+        hhl.classical_solve(np.diag([1.0, 1e200]), b)
+    # at most unit scale the rule is an absolute 1e-10
+    assert np.isclose(hhl.validate(hhl.HhlProblem(np.diag([2e-10, 1.0]), b, 2)).kappa, 5e9)
+    with pytest.raises(Singular):
+        hhl.validate(hhl.HhlProblem(np.diag([5e-11, 1.0]), b, 2))
+
+
 def test_classical_solve():
     x = hhl.classical_solve(A_REF, B3)
     assert np.allclose(x, np.array([3.0, -1.0]) / math.sqrt(10), atol=1e-12)

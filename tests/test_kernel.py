@@ -1,15 +1,21 @@
-"""The axis-contraction gate kernel and the bit view against brute force.
+"""The axis-contraction gate kernel, the bit view and the branch weight
+against brute force.
 
 Every backend path (statevector run, density-matrix run, the full
 unitary) must agree with ``helpers.embed_naive`` on random gates: any
 width, targets in any order and not necessarily adjacent, and controls.
 The bit view every projection and readout goes through must agree with
-``helpers.postselect_bits`` on vectors and density matrices. The
-kernel's plan cache must serve every array shape of one geometry, keep
-checking the width, and stay within its bound.
+``helpers.postselect_bits`` on vectors and density matrices, and the
+branch weight every measurement and register check reads with a sum
+over basis indices. The kernel's plan cache must serve every array
+shape of one geometry, keep checking the width, and stay within its
+bound. No package module may build a Kronecker product, the dense gate
+path the kernel replaced.
 """
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,14 +81,14 @@ def test_density_matrix_run_matches_naive_embedding(case):
 @given(gates())
 def test_embedded_unitary_matches_naive_embedding(case):
     n, g, _ = case
-    assert np.max(np.abs(cq.embedded_unitary(g, n) - naive_operator(g, n))) < ATOL
+    assert np.max(np.abs(cq.Circuit(n, [g]).unitary_matrix() - naive_operator(g, n))) < ATOL
 
 
 @st.composite
-def fixed_bits(draw):
-    """(width, {qubit: bit}, rng): 1-3 fixed qubits on 1-6 qubits."""
+def fixed_bits(draw, least=1):
+    """(width, {qubit: bit}, rng): ``least`` to 3 fixed qubits on 1-6 qubits."""
     n = draw(st.integers(1, 6))
-    wires = draw(st.permutations(range(n)))[:draw(st.integers(1, min(3, n)))]
+    wires = draw(st.permutations(range(n)))[:draw(st.integers(least, min(3, n)))]
     fixed = {q: draw(st.integers(0, 1)) for q in wires}
     return n, fixed, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -120,6 +126,35 @@ def test_bit_view_matches_postselection_on_density_matrices(case):
     # the view is writable into the original: zeroing it removes the branch
     cq._bit_view(rho, fixed)[...] = 0
     assert np.max(np.abs(rho[np.ix_(kept, kept)])) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(fixed_bits(least=0))
+def test_weight_matches_brute_force_sum(case):
+    n, fixed, rng = case
+    psi = random_state(rng, n)
+    states = [random_state(rng, n) for _ in range(3)]
+    weights = rng.dirichlet(np.ones(3))
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, states))
+    kept = [i for i in range(1 << n) if all((i >> q) & 1 == bit for q, bit in fixed.items())]
+    want_psi = sum(abs(psi[i]) ** 2 for i in kept)
+    want_rho = sum(rho[i, i].real for i in kept)
+    assert abs(cq._weight(psi, fixed) - want_psi) < ATOL
+    assert abs(cq._weight(rho, fixed) - want_rho) < ATOL
+
+
+def test_no_module_builds_a_kronecker_product():
+    src = Path(cq.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "kron":
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert len(list(src.glob("*.py"))) > 5
+    assert found == []
 
 
 def test_run_does_not_allocate_dense_operators():

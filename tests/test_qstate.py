@@ -85,21 +85,6 @@ def test_exp_unitary_group_laws():
     assert np.allclose(qstate.exp_unitary(a, 2 * math.pi), np.eye(2), atol=1e-12)
 
 
-def test_tensor_ordering():
-    # left factor sits on the higher qubit: X on qubit 1, identity on qubit 0
-    m = qstate.tensor(helpers.X, helpers.I2)
-    v = np.zeros(4)
-    v[0] = 1.0
-    assert np.allclose(m @ v, np.eye(4)[0b10])
-    a = np.array([1, 0.0])
-    b = np.array([0, 1.0])
-    assert np.allclose(qstate.tensor(a, b), np.eye(4)[0b01])
-    with pytest.raises(DimensionMismatch):
-        qstate.tensor()
-    with pytest.raises(DimensionMismatch):
-        qstate.tensor(a, np.eye(2))
-
-
 def test_state_fidelity_ignores_global_phase():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -139,14 +124,14 @@ def test_partial_trace_product_states():
         for _q in range(3):
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             parts.append(v / np.linalg.norm(v))
-        # qubit 2 is parts[2] etc: left tensor factor on the higher qubit
-        full = qstate.tensor(parts[2], parts[1], parts[0])
+        # qubit 2 is parts[2] etc: the left kron factor sits on the higher qubit
+        full = np.kron(parts[2], np.kron(parts[1], parts[0]))
         rho = qstate.density(full)
         for q in range(3):
             red = qstate.partial_trace(rho, [q])
             assert np.allclose(red, qstate.density(parts[q]), atol=1e-12)
         red01 = qstate.partial_trace(rho, [0, 1])
-        assert np.allclose(red01, qstate.density(qstate.tensor(parts[1], parts[0])),
+        assert np.allclose(red01, qstate.density(np.kron(parts[1], parts[0])),
                            atol=1e-12)
 
 
