@@ -32,7 +32,12 @@ weight through :func:`_weight`.
 Measurement randomness comes from a counter-based Philox generator
 keyed by (seed, shot index), so shot sampling is reproducible and
 independent of evaluation order. It is built at the first draw, so a
-run without measurements never imports ``numpy.random``.
+run without measurements never imports ``numpy.random``, and
+:func:`sample_shots` builds none for a readout with one branch, which
+every shot reads whatever it draws. Where a level splits, the sampler
+compares the top 53 bits of each raw draw with an integer cut,
+ceil(share * 2**53), which decides exactly as the uniform ``run`` makes
+from the same draw would, without turning a column into floats.
 """
 from __future__ import annotations
 
@@ -482,6 +487,15 @@ def _uniform(raw):
     return (raw >> 11) * 2.0**-53
 
 
+def _cut(share):
+    """Integer cuts with ``(raw >> 11) < _cut(share)`` exactly when ``_uniform(raw) < share``.
+
+    For shares in [0, 1]: scaling by 2**53 is exact, and an integer m is
+    below x exactly when it is below ceil(x), which is at most 2**53.
+    """
+    return np.ceil(share * 2.0**53).astype(np.uint64)
+
+
 @dataclass(frozen=True)
 class Branch:
     """One measurement record with its probability and final state."""
@@ -616,16 +630,22 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     Shot i consumes row i of one counter-based stream of raw draws keyed
     by the seed, one column per measurement, so histograms are
     reproducible and growing ``shots`` extends earlier histograms
-    without disturbing them. The stream is read in blocks of _SHOT_BLOCK
-    rows, and only the columns of levels at which some prefix splits are
-    turned into uniforms, exactly as ``Generator.random`` would; a level
-    at which no prefix splits never touches the shots. Records are keyed
-    as outcome strings in program order; every record has one character
-    per Measure op, and at most MAX_RECORD_BITS of them. A shot reads 1
-    when its draw falls below the share of its prefix's mass that
-    continues with 1. Branches of probability 0.0 are dropped: no shot
-    reaches them. Every table is sized by the branch count, never by
-    2**depth, and memory does not grow with ``shots``.
+    without disturbing them. Records are keyed as outcome strings in
+    program order; every record has one character per Measure op, and at
+    most MAX_RECORD_BITS of them. A shot reads 1 when its draw, as a
+    uniform in [0, 1) made as ``Generator.random`` makes it, falls below
+    the share of its prefix's mass that continues with 1. Branches of
+    probability 0.0 are dropped: no shot reaches them.
+
+    A readout with one branch returns it for every shot without drawing,
+    since no draw could change it. Otherwise the stream is read in blocks
+    of _SHOT_BLOCK rows, and only the columns of levels at which some
+    prefix splits are read; a level at which no prefix splits never
+    touches the shots. A split level compares the draw's top 53 bits with
+    the integer cut :func:`_cut` of each share, which decides exactly as
+    the uniform would, so no column becomes floats; the first split level
+    has one prefix, hence one cut. Every table is sized by the branch
+    count, never by 2**depth, and memory does not grow with ``shots``.
     """
     if shots < 1:
         raise BadFlag(f"shots must be positive, got {shots}")
@@ -637,6 +657,9 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     branches = [b for b in enumerate_branches(c, input) if b.probability > 0.0]
     if depth == 0:
         return {"": shots}
+    if len(branches) == 1:
+        # no level splits, so every shot reads this record whatever it draws
+        return {branches[0].record: shots}
     records = np.array([int(b.record, 2) for b in branches], dtype=np.int64)
     probs = np.array([b.probability for b in branches])
     # after k outcomes a shot carries the rank of its prefix among the
@@ -653,16 +676,19 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
         lo[ranks[k]] = ranks[k + 1] - bit
         # masses sum in branch order; adding the zeros is exact
         share = np.bincount(ranks[k], np.where(bit == 1, probs, 0.0)) / np.bincount(ranks[k], probs)
-        levels.append((k, lo, share))
+        levels.append((k, lo, _cut(share)))
+    # up to the first split every shot is on the one prefix all branches
+    # share, so that level has a single prefix: one cut, one offset, no gathers
+    (k0, lo0, cut0), levels = levels[0], levels[1:]
     values = np.unique(records)
     counts = np.zeros(values.size, dtype=np.int64)
     bits = _philox(seed, 0)
     for start in range(0, shots, _SHOT_BLOCK):
         # consecutive raw draws continue the stream: these are rows start, start + 1, ...
         raw = bits.random_raw((min(_SHOT_BLOCK, shots - start), depth))
-        at = np.zeros(raw.shape[0], dtype=np.intp)
-        for k, lo, share in levels:
-            at = lo[at] + (_uniform(raw[:, k]) < share[at])
+        at = (raw[:, k0] >> 11 < cut0[0]) + lo0[0]
+        for k, lo, cut in levels:
+            at = lo[at] + (raw[:, k] >> 11 < cut[at])
         counts += np.bincount(at, minlength=values.size)
     return {format(int(v), f"0{depth}b"): int(n) for v, n in zip(values, counts) if n}
 

@@ -26,7 +26,6 @@ import sys
 import numpy as np
 
 from . import analysis as an
-from . import compiled2x2 as c2
 from .errors import BadFlag, SimulationError, ZeroProbability
 from .hhl import HhlProblem, result_to_dict, run_hhl, _matrix_from_json, _vector_from_json
 from .selftest import run_selftest

@@ -217,23 +217,21 @@ def phase_estimation_circuit(p: HhlProblem) -> qc.Circuit:
     return qc.Circuit(p.qubits, ops).then(iqft)
 
 
-def reciprocal_rotation_circuit(p: HhlProblem) -> qc.Circuit:
-    """Register-value-conditioned ancilla rotations toward |1>.
+def _rotation_amplitudes(p: HhlProblem, info: ValidationInfo) -> dict[int, float]:
+    """Ancilla amplitude s(k) on |1> after the rotation, keyed by the register values rotated.
 
-    Register value k stands for eigenvalue k * 2*pi / t0, so the branch
-    rotation angle is theta(k) = arcsin(C * t0 / (2*pi * k)) / 2 and the
-    ancilla picks up amplitude C/lambda on |1>. Values whose amplitude
-    would exceed one are skipped when they carry no weight and rejected
-    otherwise. Value zero never carries weight for an invertible
-    matrix with an exact spectrum and gets no gate.
+    Register value k stands for eigenvalue k * 2*pi / t0, so s(k) is
+    C * t0 / (2*pi * k), the C/lambda of that eigenvalue, capped at one
+    where it exceeds one by rounding alone. Values whose
+    amplitude would exceed one are skipped when they carry no weight and
+    rejected otherwise. Value zero never carries weight for an invertible
+    matrix with an exact spectrum and is not rotated. A value missing
+    from the result keeps its ancilla on |0>: s(k) = 0.
     """
-    info = validate(p)
     c_val = resolve_c(p, info)
     populated = set(_populated_values(p, info))
-    n = p.n_register
-    regs = p.register_qubits()
-    ops: list = []
-    for k in range(1, 1 << n):
+    amps = {}
+    for k in range(1, 1 << p.n_register):
         amp = c_val * p.t0 / (TWO_PI * k)
         if amp > 1.0 + 1e-12:
             if k in populated:
@@ -241,7 +239,22 @@ def reciprocal_rotation_circuit(p: HhlProblem) -> qc.Circuit:
                     f"C = {c_val} needs amplitude {amp} on populated register value {k}"
                 )
             continue
-        theta = 0.5 * math.asin(min(amp, 1.0))
+        amps[k] = min(amp, 1.0)
+    return amps
+
+
+def reciprocal_rotation_circuit(p: HhlProblem) -> qc.Circuit:
+    """Register-value-conditioned ancilla rotations toward |1>.
+
+    Register value k gets the reflection by theta(k) = arcsin(s(k)) / 2,
+    which puts amplitude s(k) = C/lambda on the ancilla's |1>, for each
+    value :func:`_rotation_amplitudes` rotates; the others get no gate.
+    """
+    n = p.n_register
+    regs = p.register_qubits()
+    ops: list = []
+    for k, amp in _rotation_amplitudes(p, validate(p)).items():
+        theta = 0.5 * math.asin(amp)
         flips = [qc.x(regs[i]) for i in range(n) if not (k >> i) & 1]
         ops.extend(flips)
         ops.append(qc.controlled(qc.h_theta(0, theta), *regs))
@@ -263,12 +276,37 @@ def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x / norm
 
 
+def _fejer(d: np.ndarray, big_t: int) -> np.ndarray:
+    """Phase-estimation weight |(1/T) sum_t exp(2 pi i t d / T)|^2 at offsets ``d``.
+
+    Periodic in d with period T, so ``d`` is first reduced to [-T/2, T/2];
+    then sin(pi d / T) vanishes only at d = 0, where the weight is 1.
+    """
+    d = d - big_t * np.round(d / big_t)
+    den = big_t * np.sin(np.pi * d / big_t)
+    safe = np.where(d == 0.0, 1.0, den)
+    return np.where(d == 0.0, 1.0, (np.sin(np.pi * d) / safe) ** 2)
+
+
 def success_probability(p: HhlProblem) -> float:
-    """Analytic heralding probability sum_j |beta_j|^2 C^2 / lambda_j^2."""
+    """Analytic heralding probability, the ancilla marginal of :func:`run_hhl`.
+
+    With phi_j = lambda_j * t0 / (2*pi), phase estimation puts weight
+    F(phi_j - k) on register value k, F the Fejer kernel of T = 2**n
+    values, and the rotation leaves amplitude s(k) on |1>, so the
+    probability is sum_j |beta_j|^2 sum_k F(phi_j - k) s(k)^2. On an
+    exact spectrum F picks k = phi_j alone and this is
+    sum_j |beta_j|^2 C^2 / lambda_j^2.
+    """
     info = validate(p)
-    c_val = resolve_c(p, info)
+    big_t = 1 << p.n_register
+    amps = np.zeros(big_t)
+    for k, amp in _rotation_amplitudes(p, info).items():
+        amps[k] = amp
     betas = info.spectrum.eigenvectors.conj().T @ p.b
-    return float(np.sum(np.abs(betas) ** 2 * c_val**2 / info.spectrum.eigenvalues**2).real)
+    phis = info.spectrum.eigenvalues * p.t0 / TWO_PI
+    weights = _fejer(phis[:, None] - np.arange(big_t), big_t)
+    return float(np.sum(np.abs(betas) ** 2 * (weights @ amps**2)))
 
 
 def initial_state(p: HhlProblem) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from hhlsim import analysis
 from hhlsim import circuit as cq
 from hhlsim import qstate
 from hhlsim.errors import (
@@ -606,6 +607,37 @@ def test_sample_shots_matches_naive_sampler_across_blocks():
 def test_raw_draw_conversion_is_generator_random():
     assert np.array_equal(np.random.Generator(cq._philox(7, 0)).random((300, 7)),
                           cq._uniform(cq._philox(7, 0).random_raw((300, 7))))
+
+
+def test_one_branch_readout_draws_nothing(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a readout with one branch built a generator")
+
+    monkeypatch.setattr(cq, "_philox", no_draw)
+    # every read is certain: qubit 0 stays 0, qubit 1 is flipped and read twice
+    c = cq.Circuit(2, [cq.x(1), cq.Measure(0, 0), cq.Measure(1, 1), cq.Measure(1, 2)])
+    assert cq.sample_shots(c, np.eye(4)[0].astype(complex), cq.MAX_SHOTS) == {"011": cq.MAX_SHOTS}
+    # b2 is an eigenvector read in X: the register and the herald are certain
+    assert analysis.sampled_success("generic", "b2", 10**5) == analysis.SampledSuccess(1.0, 10**5, 10**5)
+
+
+def shares():
+    """Shares in [0, 1]: at, and one ulp either side of, a multiple of 2**-53; edge values; any."""
+    on_grid = st.integers(0, 2**53).map(lambda j: j * 2.0**-53)
+    near_grid = st.tuples(on_grid, st.sampled_from([0.0, 1.0])).map(lambda t: math.nextafter(*t))
+    edges = st.sampled_from([0.0, 1.0, 5e-324, 2.0**-1022 / 3, 2.0**-53, 1.0 - 2.0**-53])
+    return st.one_of(edges, on_grid, near_grid, st.floats(0.0, 1.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(shares(), st.lists(st.integers(0, 2**64 - 1), max_size=20), st.integers(-2, 2),
+       st.integers(0, 2**11 - 1))
+def test_integer_cut_is_the_uniform_comparison(share, raws, offset, low):
+    # one raw whose top 53 bits sit within two of the share's scaled value
+    near = min(max(math.floor(share * 2.0**53) + offset, 0), 2**53 - 1)
+    raw = np.array(raws + [(near << 11) | low], dtype=np.uint64)
+    cut = cq._cut(np.array([share]))
+    assert np.array_equal((raw >> 11) < cut[0], cq._uniform(raw) < share)
 
 
 def test_chain_of_unlikely_outcomes_keeps_its_branch():

@@ -181,6 +181,19 @@ def test_success_probability_formula():
     assert np.isclose(hhl.success_probability(ref_problem(B1)), 1.0)
 
 
+@pytest.mark.parametrize("eigs, bits, want", [
+    # off grid: phase estimation spreads both eigenvalues over the register
+    ((1.3, 2.6), 3, 0.392556610125),
+    # the eigenvalue 5 wraps to register value 1, where the amplitude is 1
+    ((1.0, 5.0), 2, 1.0),
+])
+def test_success_probability_is_the_pipeline_marginal_off_grid(eigs, bits, want):
+    p = hhl.HhlProblem(np.diag(eigs), np.array([0.6, 0.8]), bits)
+    got = hhl.success_probability(p)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got == pytest.approx(hhl.run_hhl(p).success_probability, abs=1e-12)
+
+
 def test_run_hhl_reference_inputs():
     for b, expect in ((B1, B1), (B2, B2), (B3, np.array([3.0, -1.0]) / math.sqrt(10))):
         res = hhl.run_hhl(ref_problem(b, c_const=1.0))
