@@ -19,7 +19,7 @@ the three settings are independent and every run is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -191,15 +191,6 @@ def reference_problem(b: np.ndarray) -> HhlProblem:
     return HhlProblem(a=c2.SYSTEM_MATRIX, b=b, n_register=2, c_const=1.0)
 
 
-def _resolve_input(name_or_vec) -> tuple[str, np.ndarray]:
-    if isinstance(name_or_vec, str):
-        if name_or_vec not in c2.INPUT_PRESETS:
-            raise BadFlag(f"unknown input preset {name_or_vec!r}")
-        return name_or_vec, c2.INPUT_PRESETS[name_or_vec].copy()
-    vec = np.asarray(name_or_vec, dtype=complex)
-    return "custom", vec
-
-
 def _noisy_output(mode: str, vec: np.ndarray, noise: qc.NoiseSpec,
                   feedforward: str) -> tuple[np.ndarray, float]:
     """Density-matrix run of one input, cut on the layout's heralds in order;
@@ -227,10 +218,14 @@ def _problem_layout(prob: HhlProblem):
     return pipeline_circuit(prob), initial_state(prob), hhl.heralds(prob), 1 + prob.n_register
 
 
+# the pipelines a report can run the reference instance through
+MODES = ("compiled", "generic")
+
+
 def _check_modes(mode: str, feedforward: str) -> None:
-    if mode not in ("generic", "compiled"):
+    if mode not in MODES:
         raise BadFlag(f"unknown mode {mode!r}")
-    if feedforward not in ("unitary", "semiclassical"):
+    if feedforward not in c2.FEEDFORWARD_MODES:
         raise BadFlag(f"unknown feedforward mode {feedforward!r}")
     if mode == "generic" and feedforward == "semiclassical":
         raise BadFlag("semiclassical feedforward applies to the compiled mode only")
@@ -299,7 +294,7 @@ def _settings_estimates(circ, init, heralds, out_wire, shots: int, seed: int) ->
 def shot_estimates(mode: str, input_b, shots: int, seed: int = 0,
                    feedforward: str = "unitary") -> ShotEstimates:
     """Shot-sampled Pauli expectations of the heralded output qubit."""
-    _, vec = _resolve_input(input_b)
+    _, vec = c2.resolve_input(input_b)
     circ, init, heralds, out_wire = _measurement_layout(mode, vec, feedforward)
     return _settings_estimates(circ, init, heralds, out_wire, shots, seed)
 
@@ -334,7 +329,7 @@ class SampledSuccess:
 def sampled_success(mode: str, input_b, shots: int, seed: int = 0,
                     feedforward: str = "unitary") -> SampledSuccess:
     """Heralding rate over seeded shots, conditional like the analytic value."""
-    _, vec = _resolve_input(input_b)
+    _, vec = c2.resolve_input(input_b)
     circ, init, heralds, _ = _measurement_layout(mode, vec, feedforward)
     tail, state = _readout(circ, init)
     counts = _sample_wires(tail, state, [], [q for q, _ in heralds], shots, 3 * seed)
@@ -354,7 +349,7 @@ def sampled_success(mode: str, input_b, shots: int, seed: int = 0,
 def build_pauli_report(mode: str = "generic", feedforward: str = "unitary",
                        noise: qc.NoiseSpec | None = None, shots: int = 0,
                        seed: int = 0,
-                       inputs=("b1", "b2", "b3")) -> PauliReport:
+                       inputs=tuple(c2.INPUT_PRESETS)) -> PauliReport:
     """Ideal vs simulated expectations for each input, plus heralding and fidelity.
 
     Without noise the simulated columns come from the exact post-selected
@@ -369,7 +364,7 @@ def build_pauli_report(mode: str = "generic", feedforward: str = "unitary",
         raise BadFlag("shot sampling runs on the pure backend; drop the noise spec")
     entries = []
     for input_b in inputs:
-        name, vec = _resolve_input(input_b)
+        name, vec = c2.resolve_input(input_b)
         x_cl = classical_solve(c2.SYSTEM_MATRIX, vec)
         ideal = pauli_expectations(x_cl)
         if noise is not None:
@@ -395,48 +390,24 @@ def build_pauli_report(mode: str = "generic", feedforward: str = "unitary",
 
 
 def noise_sweep(mode: str, p_list, feedforward: str = "unitary",
-                inputs=("b1", "b2", "b3")) -> list[tuple[float, str, float]]:
+                inputs=tuple(c2.INPUT_PRESETS)) -> list[tuple[float, str, float]]:
     """Rows of (depolarizing p, input name, solution fidelity), each fidelity
     as :func:`build_pauli_report` computes it under that noise spec."""
-    named = [(name, vec, classical_solve(c2.SYSTEM_MATRIX, vec)) for name, vec in map(_resolve_input, inputs)]
+    named = [(name, vec, classical_solve(c2.SYSTEM_MATRIX, vec)) for name, vec in map(c2.resolve_input, inputs)]
     return [(float(p), name, fidelity(x_cl, _noisy_output(mode, vec, qc.NoiseSpec(float(p)), feedforward)[0]))
             for p in p_list for name, vec, x_cl in named]
 
 
-def _expectations_dict(e: PauliExpectations) -> dict:
-    return {"z": e.z, "x": e.x, "y": e.y}
-
-
 def report_to_dict(r: PauliReport) -> dict:
-    out = {
-        "mode": r.mode,
-        "feedforward": r.feedforward,
-        "noise_p": r.noise_p,
-        "seed": r.seed,
-        "entries": [],
-    }
-    for e in r.entries:
-        d = {
-            "input": e.input,
-            "ideal": _expectations_dict(e.ideal),
-            "simulated": _expectations_dict(e.simulated),
-            "success_probability": e.success_probability,
-            "fidelity": e.fidelity,
-        }
-        if e.shot_estimates is not None:
-            d["shot_estimates"] = shot_estimates_to_dict(e.shot_estimates)
-        out["entries"].append(d)
+    """The report's fields, in declaration order; an entry without shot estimates omits them."""
+    out = asdict(r)
+    out["entries"] = [{k: v for k, v in e.items() if k != "shot_estimates" or v is not None}
+                      for e in out["entries"]]
     return out
 
 
 def shot_estimates_to_dict(s: ShotEstimates) -> dict:
-    return {
-        "shots": s.shots,
-        **{
-            k: {"value": v.value, "stderr": v.stderr, "accepted": v.accepted}
-            for k, v in (("z", s.z), ("x", s.x), ("y", s.y))
-        },
-    }
+    return asdict(s)
 
 
 def report_csv_rows(r: PauliReport) -> list[tuple]:

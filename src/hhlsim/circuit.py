@@ -2,7 +2,9 @@
 
 Qubit 0 is the least significant bit of a basis index, matching
 ``qstate``. Circuits and gates are treated as immutable: build the op
-list first, then wrap it in a :class:`Circuit`.
+list first, then wrap it in a :class:`Circuit`. The stock gates are one
+table, and complex arrays go to and from JSON through one codec,
+:func:`complex_to_json` and :func:`complex_from_json`.
 
 Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
@@ -71,12 +73,6 @@ _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
 
-# gates equal to their own inverse, used when reversing circuits
-_SELF_INVERSE = {"x", "y", "z", "h", "h_theta", "swap"}
-# gate kinds rebuilt from name and params alone; anything else
-# serializes its matrix explicitly
-_STOCK_KINDS = {"x", "y", "z", "h", "phase", "h_theta", "swap"}
-
 
 @dataclass(frozen=True, eq=False)
 class Gate:
@@ -133,8 +129,8 @@ class Gate:
         if self.name == "phase":
             phi = dict(self.params)["phi"]
             return replace(phase(self.targets[0], -phi), controls=self.controls)
-        if self.name in _SELF_INVERSE:
-            return self
+        if self.name in _STOCK:
+            return self  # every stock gate but phase is its own inverse
         return replace(self, matrix=self.matrix.conj().T)
 
 
@@ -193,7 +189,7 @@ def unitary(matrix: np.ndarray, targets, name: str = "unitary") -> Gate:
     Stock gate and op kind names are refused: :meth:`Gate.dagger` and the
     JSON form would treat the gate as the stock one and drop its matrix.
     """
-    if name in _STOCK_KINDS or name in ("measure", "conditional"):
+    if name in _STOCK or name in ("measure", "conditional"):
         raise BadIndex(f"gate name {name!r} is reserved for a built-in op")
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -210,6 +206,15 @@ def controlled(gate: Gate, *controls: int) -> Gate:
 
 def cnot(control: int, target: int) -> Gate:
     return controlled(x(target), control)
+
+
+# stock gates by name: constructor and the names of its angle parameters.
+# They are rebuilt from name, targets and angles alone; any other gate
+# serializes its matrix explicitly
+_STOCK = {
+    "x": (x, ()), "y": (y, ()), "z": (z, ()), "h": (h, ()), "swap": (swap, ()),
+    "phase": (phase, ("phi",)), "h_theta": (h_theta, ("theta",)),
+}
 
 
 @dataclass(frozen=True)
@@ -295,16 +300,40 @@ class Circuit:
         return Circuit.from_json_dict(json.loads(text))
 
 
-def _complex_to_json(v: complex) -> list[float]:
-    return [float(np.real(v)), float(np.imag(v))]
+def complex_to_json(arr) -> list:
+    """A complex scalar or array in JSON form: each entry becomes an [re, im] pair."""
+    a = np.asarray(arr, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[_complex_to_json(v) for v in row] for row in np.asarray(m, dtype=complex)]
+def _entry_from_json(v) -> complex:
+    parts = v if isinstance(v, list) else [v, 0.0]
+    if len(parts) != 2:
+        raise DimensionMismatch(f"complex entries are [re, im], got {v!r}")
+    # bool is an int subclass, but true/false are not matrix entries
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in parts):
+        raise DimensionMismatch(f"entry {v!r} is not a number or an [re, im] pair")
+    try:
+        return complex(float(parts[0]), float(parts[1]))
+    except OverflowError:
+        raise DimensionMismatch("an integer entry is too large for a float") from None
 
 
-def _matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def complex_from_json(data, ndim: int) -> np.ndarray:
+    """Vector (``ndim`` 1) or matrix (``ndim`` 2) whose entries are numbers or [re, im] pairs.
+
+    Reads :func:`complex_to_json` back bit for bit. Any other entry, a
+    bool included, and ragged rows raise DimensionMismatch.
+    """
+    if ndim == 1:
+        if not isinstance(data, list):
+            raise DimensionMismatch("vector must be a JSON array")
+        return np.array([_entry_from_json(v) for v in data], dtype=complex)
+    if not isinstance(data, list) or not all(isinstance(row, list) for row in data):
+        raise DimensionMismatch("matrix must be a JSON array of rows")
+    if len({len(row) for row in data}) > 1:
+        raise DimensionMismatch("matrix rows differ in length")
+    return np.array([[_entry_from_json(v) for v in row] for row in data], dtype=complex)
 
 
 def _op_to_dict(op) -> dict:
@@ -322,8 +351,8 @@ def _op_to_dict(op) -> dict:
         d["controls"] = list(op.controls)
     for key, val in op.params:
         d[key] = val
-    if op.name not in _STOCK_KINDS:
-        d["matrix"] = _matrix_to_json(op.matrix)
+    if op.name not in _STOCK:
+        d["matrix"] = complex_to_json(op.matrix)
     return d
 
 
@@ -338,22 +367,11 @@ def _op_from_dict(d: dict):
         return ConditionalGate(inner, int(d["slot"]), int(d.get("outcome", 1)))
     targets = [int(t) for t in d["targets"]]
     controls = [int(c) for c in d.get("controls", [])]
-    if kind == "x":
-        g = x(targets[0])
-    elif kind == "y":
-        g = y(targets[0])
-    elif kind == "z":
-        g = z(targets[0])
-    elif kind == "h":
-        g = h(targets[0])
-    elif kind == "phase":
-        g = phase(targets[0], float(d["phi"]))
-    elif kind == "h_theta":
-        g = h_theta(targets[0], float(d["theta"]))
-    elif kind == "swap":
-        g = swap(targets[0], targets[1])
+    if kind in _STOCK:
+        make, angles = _STOCK[kind]
+        g = make(*targets, *(float(d[name]) for name in angles))
     elif "matrix" in d:
-        g = unitary(_matrix_from_json(d["matrix"]), targets, name=kind)
+        g = unitary(complex_from_json(d["matrix"], 2), targets, name=kind)
     else:
         raise BadIndex(f"unknown gate kind {kind!r}")
     return controlled(g, *controls) if controls else g
@@ -515,9 +533,10 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
     projection on outcome o. Each weight is taken from its own
     projection, never as one minus the other, so an unlikely outcome
     keeps its relative precision. A followed branch is projected and
-    divided by sqrt(p[o]) on a vector, by p[o] on a density matrix. The
-    record gets one character per Measure, so a slot measured twice
-    keeps both outcomes.
+    divided by sqrt(p[o]) on a vector, by p[o] on a density matrix; a
+    zero or non-finite state raises ZeroProbability instead. The record
+    gets one character per Measure, so a slot measured twice keeps both
+    outcomes.
     """
     stack = [(0, state, 1.0, {}, "")]
     while stack:
@@ -528,6 +547,8 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
                 state = touch(state, op)
             elif isinstance(op, Measure):
                 weights = (_weight(state, {op.qubit: 0}), _weight(state, {op.qubit: 1}))
+                if not 0.0 < weights[0] + weights[1] < math.inf:
+                    raise ZeroProbability(f"measuring qubit {op.qubit} of a zero or non-finite state")
                 # pushed last-first, so the first outcome is walked first
                 for outcome in reversed(policy(weights)):
                     p = weights[outcome]
@@ -548,7 +569,8 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
     spec or a 2-d (density matrix) input selects the density-matrix
     backend. Each measurement collapses on one draw from the generator
     keyed by (seed, 0), taken in program order; the generator is built at
-    the first measurement.
+    the first measurement. Measuring a zero or non-finite state raises
+    ZeroProbability.
     """
     arr = np.asarray(input, dtype=complex)
     if arr.ndim == 1 and arr.size != (1 << c.qubits):
@@ -635,7 +657,8 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     most MAX_RECORD_BITS of them. A shot reads 1 when its draw, as a
     uniform in [0, 1) made as ``Generator.random`` makes it, falls below
     the share of its prefix's mass that continues with 1. Branches of
-    probability 0.0 are dropped: no shot reaches them.
+    probability 0.0 are dropped: no shot reaches them. Raises
+    ZeroProbability, before any table is built, when no branch is left.
 
     A readout with one branch returns it for every shot without drawing,
     since no draw could change it. Otherwise the stream is read in blocks
@@ -657,6 +680,8 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     branches = [b for b in enumerate_branches(c, input) if b.probability > 0.0]
     if depth == 0:
         return {"": shots}
+    if not branches:
+        raise ZeroProbability("the input leaves no measurement record to sample")
     if len(branches) == 1:
         # no level splits, so every shot reads this record whatever it draws
         return {branches[0].record: shots}

@@ -26,8 +26,10 @@ import sys
 import numpy as np
 
 from . import analysis as an
+from .circuit import complex_from_json, complex_to_json
+from .compiled2x2 import FEEDFORWARD_MODES, INPUT_PRESETS
 from .errors import BadFlag, SimulationError, ZeroProbability
-from .hhl import HhlProblem, result_to_dict, run_hhl, _matrix_from_json, _vector_from_json
+from .hhl import HhlProblem, result_to_dict, run_hhl
 from .selftest import run_selftest
 
 SCHEMA_VERSION = "2"
@@ -91,14 +93,10 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _complex_out(v: complex) -> list[float]:
-    return [float(v.real), float(v.imag)]
-
-
 def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
-    a = _matrix_from_json(_load_json(args.matrix))
-    b = _vector_from_json(_load_json(args.vector))
+    a = complex_from_json(_load_json(args.matrix), 2)
+    b = complex_from_json(_load_json(args.vector), 1)
     problem = HhlProblem(a=a, b=b, n_register=args.register_bits, c_const=args.c_const)
     result = run_hhl(problem)
     doc = {
@@ -107,8 +105,8 @@ def cmd_solve(args) -> int:
         "config": {
             "matrix_file": args.matrix,
             "vector_file": args.vector,
-            "matrix": [[_complex_out(v) for v in row] for row in a],
-            "vector": [_complex_out(v) for v in b],
+            "matrix": complex_to_json(a),
+            "vector": complex_to_json(b),
             "register_bits": args.register_bits,
             "c_const": args.c_const,
             "t0": problem.t0,
@@ -126,7 +124,7 @@ def cmd_solve(args) -> int:
 
 def cmd_paper(args) -> int:
     seed = _resolve_seed(args)
-    inputs = ("b1", "b2", "b3") if args.input == "all" else (args.input,)
+    inputs = tuple(INPUT_PRESETS) if args.input == "all" else (args.input,)
     report = an.build_pauli_report(
         mode=args.mode,
         feedforward=args.feedforward,
@@ -219,9 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.set_defaults(func=cmd_solve)
 
     paper = sub.add_parser("paper", help="observable report for the bundled reference instance")
-    paper.add_argument("--input", choices=["b1", "b2", "b3", "all"], default="all")
-    paper.add_argument("--mode", choices=["compiled", "generic"], default="compiled")
-    paper.add_argument("--feedforward", choices=["unitary", "semiclassical"], default="unitary")
+    paper.add_argument("--input", choices=[*INPUT_PRESETS, "all"], default="all")
+    paper.add_argument("--mode", choices=an.MODES, default="compiled")
+    paper.add_argument("--feedforward", choices=FEEDFORWARD_MODES, default="unitary")
     paper.add_argument("--shots", type=int, default=0, metavar="N")
     paper.add_argument("--seed", type=int, default=None, metavar="N")
     paper.add_argument("--out", default=None, metavar="FILE")
@@ -231,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("noise-sweep", help="fidelity vs depolarizing strength")
     sweep.add_argument("--p-list", default=DEFAULT_SWEEP, metavar="P1,P2,...",
                        help="comma-separated depolarizing probabilities in [0, 1]")
-    sweep.add_argument("--mode", choices=["compiled", "generic"], default="compiled")
+    sweep.add_argument("--mode", choices=an.MODES, default="compiled")
     sweep.add_argument("--out", default=None, metavar="FILE")
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.set_defaults(func=cmd_noise_sweep)

@@ -45,6 +45,10 @@ maximally correlated: for the preset b3, which weights both eigenbranches
 equally, this is a GHZ-class state, carried into canonical form
 (|0000> + |1111>)/sqrt2 by the local frame H on the input and X on R2
 (``analysis.COMPILED_GHZ_FRAME``).
+
+An input is a preset name (INPUT_PRESETS) or a vector, turned into b by
+:func:`resolve_input` here and in ``analysis``; a vector obeys the rule
+of the generic pipeline, :func:`hhl.check_unit_vector`.
 """
 from __future__ import annotations
 
@@ -54,8 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuit as qc
-from .errors import BadFlag, DimensionMismatch, NotNormalized
-from .hhl import HhlResult, classical_solve
+from .errors import BadFlag
+from .hhl import HhlResult, check_unit_vector, classical_solve
 from .qstate import state_fidelity
 
 SYSTEM_MATRIX = np.array([[1.5, 0.5], [0.5, 1.5]], dtype=complex)
@@ -78,10 +82,26 @@ U_MINUS = np.array([1.0, -1.0], dtype=complex) / _S2
 # the circuit's wires; register value = 2*R1 + R2
 ANCILLA, R2, R1, INPUT = 0, 1, 2, 3
 
+# realizations of the inverse estimation, stage 3 of the module docstring
+FEEDFORWARD_MODES = ("unitary", "semiclassical")
+
+
+def resolve_input(name_or_vec) -> tuple[str, np.ndarray]:
+    """A preset's name and a copy of its vector, or "custom" and the given vector as complex."""
+    if isinstance(name_or_vec, str):
+        try:
+            return name_or_vec, INPUT_PRESETS[name_or_vec].copy()
+        except KeyError:
+            raise BadFlag(f"unknown input preset {name_or_vec!r}") from None
+    return "custom", np.asarray(name_or_vec, dtype=complex)
+
 
 @dataclass(frozen=True)
 class CompiledConfig:
-    """Input choice, inverse-estimation realization and rotation angles."""
+    """Input choice, inverse-estimation realization and rotation angles.
+
+    A custom input is checked once, here, by :func:`hhl.check_unit_vector`.
+    """
 
     input_b: str | np.ndarray = "b3"
     feedforward: str = "unitary"
@@ -89,23 +109,14 @@ class CompiledConfig:
     theta_small: float = THETA_SMALL
 
     def __post_init__(self):
-        if self.feedforward not in ("unitary", "semiclassical"):
+        if self.feedforward not in FEEDFORWARD_MODES:
             raise BadFlag(f"unknown feedforward mode {self.feedforward!r}")
+        check_unit_vector(input_vector(self), 2)
 
 
 def input_vector(cfg: CompiledConfig) -> np.ndarray:
-    """Resolve the configured input to a normalized 2-vector."""
-    if isinstance(cfg.input_b, str):
-        try:
-            return INPUT_PRESETS[cfg.input_b].copy()
-        except KeyError:
-            raise BadFlag(f"unknown input preset {cfg.input_b!r}") from None
-    vec = np.asarray(cfg.input_b, dtype=complex)
-    if vec.shape != (2,):
-        raise DimensionMismatch(f"input vector shape {vec.shape} is not (2,)")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-        raise NotNormalized("input vector is not normalized")
-    return vec
+    """The configured input as a complex 2-vector, checked when ``cfg`` was made."""
+    return resolve_input(cfg.input_b)[1]
 
 
 def input_from_angle(angle: float) -> np.ndarray:

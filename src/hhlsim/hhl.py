@@ -17,6 +17,10 @@ register integer k = lambda * t0 / (2*pi) = lambda. Spectra whose
 eigenvalues all map to integers in [1, 2**n - 1] are called exact;
 other spectra still run, with register spreading and the reported
 fidelity honestly degraded.
+
+A solve calls :func:`validate` once; its one eigendecomposition gives
+the phase-estimation powers and the rotation amplitudes, and each stage
+circuit is built once.
 """
 from __future__ import annotations
 
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import circuit as qc
 from .errors import DimensionMismatch, InvalidC, NotNormalized, NotPositiveDefinite, Singular, ZeroProbability
-from .qstate import EigenDecomposition, check_hermitian, eigh, exp_unitary, state_fidelity
+from .qstate import EigenDecomposition, check_hermitian, eigh, num_qubits, state_fidelity
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,8 +83,6 @@ class HhlProblem:
 
     @property
     def m_qubits(self) -> int:
-        from .qstate import num_qubits
-
         return num_qubits(self.dim)
 
     @property
@@ -140,17 +142,22 @@ def _condition_number(sing: np.ndarray) -> float:
     return kappa
 
 
-def validate(p: HhlProblem) -> ValidationInfo:
-    """Check the problem statement and classify its spectrum."""
-    check_hermitian(p.a)
-    if p.b.shape != (p.dim,):
-        raise DimensionMismatch(f"vector shape {p.b.shape} does not match matrix {p.a.shape}")
-    if not np.all(np.isfinite(p.b)):
+def check_unit_vector(b: np.ndarray, dim: int) -> None:
+    """Raise unless ``b`` has ``dim`` finite entries and a :func:`_scaled` norm of 1 within 1e-12."""
+    if b.shape != (dim,):
+        raise DimensionMismatch(f"vector shape {b.shape} does not match matrix {(dim, dim)}")
+    if not np.all(np.isfinite(b)):
         raise NotNormalized("vector has a non-finite entry")
-    unit, scale = _scaled(p.b)
+    unit, scale = _scaled(b)
     norm = float(np.linalg.norm(unit)) / scale
     if abs(norm - 1.0) > 1e-12:
         raise NotNormalized(f"|b| = {norm!r} is not 1")
+
+
+def validate(p: HhlProblem) -> ValidationInfo:
+    """Check the problem statement and classify its spectrum."""
+    check_hermitian(p.a)
+    check_unit_vector(p.b, p.dim)
     spectrum = eigh(p.a)
     kappa = _condition_number(np.abs(spectrum.eigenvalues))
     lam_min = float(spectrum.eigenvalues.min())
@@ -201,17 +208,19 @@ def resolve_c(p: HhlProblem, info: ValidationInfo | None = None) -> float:
     return scale
 
 
-def phase_estimation_circuit(p: HhlProblem) -> qc.Circuit:
+def phase_estimation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circuit:
     """Hadamards, controlled exp(i*A*t0*2**i/T) powers, then the inverse QFT.
 
-    Acts on the register and solution qubits; the ancilla stays idle so
-    stage circuits compose on the full layout.
+    The powers come from the eigendecomposition in ``info``, the result
+    of :func:`validate` on ``p``. Acts on the register and solution
+    qubits; the ancilla stays idle so stage circuits compose on the full
+    layout.
     """
     n = p.n_register
     big_t = 1 << n
     ops: list = [qc.h(1 + i) for i in range(n)]
     for i in range(n):
-        u = exp_unitary(p.a, p.t0 * (1 << i) / big_t)
+        u = info.spectrum.exp_i(p.t0 * (1 << i) / big_t)
         ops.append(qc.controlled(qc.unitary(u, p.input_qubits()), 1 + i))
     iqft = qc.Circuit(p.qubits, qc._qft_ops(p.register_qubits())).inverse()
     return qc.Circuit(p.qubits, ops).then(iqft)
@@ -243,17 +252,18 @@ def _rotation_amplitudes(p: HhlProblem, info: ValidationInfo) -> dict[int, float
     return amps
 
 
-def reciprocal_rotation_circuit(p: HhlProblem) -> qc.Circuit:
+def reciprocal_rotation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circuit:
     """Register-value-conditioned ancilla rotations toward |1>.
 
     Register value k gets the reflection by theta(k) = arcsin(s(k)) / 2,
     which puts amplitude s(k) = C/lambda on the ancilla's |1>, for each
     value :func:`_rotation_amplitudes` rotates; the others get no gate.
+    ``info`` is the result of :func:`validate` on ``p``.
     """
     n = p.n_register
     regs = p.register_qubits()
     ops: list = []
-    for k, amp in _rotation_amplitudes(p, validate(p)).items():
+    for k, amp in _rotation_amplitudes(p, info).items():
         theta = 0.5 * math.asin(amp)
         flips = [qc.x(regs[i]) for i in range(n) if not (k >> i) & 1]
         ops.extend(flips)
@@ -324,6 +334,12 @@ def heralds(p: HhlProblem) -> list[tuple[int, int]]:
     return [(q, 0) for q in p.register_qubits()] + [(0, 1)]
 
 
+def _stages(p: HhlProblem, info: ValidationInfo) -> tuple[qc.Circuit, qc.Circuit, qc.Circuit]:
+    """Phase estimation, reciprocal rotation and uncompute, each built once."""
+    pe = phase_estimation_circuit(p, info)
+    return pe, reciprocal_rotation_circuit(p, info), pe.inverse()
+
+
 def run_hhl(p: HhlProblem) -> HhlResult:
     """Execute the full pipeline and post-select the ancilla on |1>.
 
@@ -333,9 +349,7 @@ def run_hhl(p: HhlProblem) -> HhlResult:
     on exact spectra and an honest projection otherwise.
     """
     info = validate(p)
-    pe = phase_estimation_circuit(p)
-    rot = reciprocal_rotation_circuit(p)
-    inv = pe.inverse()
+    pe, rot, inv = _stages(p, info)
     register_zero = dict.fromkeys(p.register_qubits(), 0)
 
     state = qc.run(pe, initial_state(p)).state
@@ -356,9 +370,12 @@ def run_hhl(p: HhlProblem) -> HhlResult:
         raise ZeroProbability("projection of the register on all-zeros has vanishing norm")
     x = x / norm
 
-    pipe = pe.then(rot).then(inv)
-    census = pipe.gate_census()
-    census["entangling"] = pipe.entangling_count()
+    # the census of the three stages concatenated, in first-seen key order
+    census: dict[str, int] = {}
+    for stage in (pe, rot, inv):
+        for key, count in stage.gate_census().items():
+            census[key] = census.get(key, 0) + count
+    census["entangling"] = sum(stage.entangling_count() for stage in (pe, rot, inv))
 
     fid = state_fidelity(classical_solve(p.a, p.b), x)
     return HhlResult(x, p_success, fid, register_reset_ok, census)
@@ -366,14 +383,14 @@ def run_hhl(p: HhlProblem) -> HhlResult:
 
 def pipeline_circuit(p: HhlProblem) -> qc.Circuit:
     """The three stages concatenated into one measurement-free circuit."""
-    pe = phase_estimation_circuit(p)
-    return pe.then(reciprocal_rotation_circuit(p)).then(pe.inverse())
+    pe, rot, inv = _stages(p, validate(p))
+    return pe.then(rot).then(inv)
 
 
 def problem_from_dict(data: dict) -> HhlProblem:
     """Build a problem from its JSON form; see README for the schema."""
-    a = _matrix_from_json(data["matrix"])
-    b = _vector_from_json(data["vector"])
+    a = qc.complex_from_json(data["matrix"], 2)
+    b = qc.complex_from_json(data["vector"], 1)
     return HhlProblem(
         a,
         b,
@@ -385,41 +402,10 @@ def problem_from_dict(data: dict) -> HhlProblem:
 
 def result_to_dict(r: HhlResult) -> dict:
     return {
-        "x": [[float(v.real), float(v.imag)] for v in r.x_state],
+        "x": qc.complex_to_json(r.x_state),
         "success_probability": float(r.success_probability),
         "fidelity": float(r.fidelity_vs_classical),
         "register_reset_ok": bool(r.register_reset_ok),
         "gate_count": dict(sorted(r.gate_count.items())),
     }
 
-
-def _real_from_json(v) -> float:
-    # bool is an int subclass, but true/false are not matrix entries
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DimensionMismatch(f"entry {v!r} is not a number or an [re, im] pair")
-    try:
-        return float(v)
-    except OverflowError:
-        raise DimensionMismatch("an integer entry is too large for a float") from None
-
-
-def _entry_from_json(v) -> complex:
-    if isinstance(v, list):
-        if len(v) != 2:
-            raise DimensionMismatch(f"complex entries are [re, im], got {v!r}")
-        return complex(_real_from_json(v[0]), _real_from_json(v[1]))
-    return complex(_real_from_json(v), 0.0)
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise DimensionMismatch("matrix must be a JSON array of rows")
-    if len({len(row) for row in rows}) > 1:
-        raise DimensionMismatch("matrix rows differ in length")
-    return np.array([[_entry_from_json(v) for v in row] for row in rows], dtype=complex)
-
-
-def _vector_from_json(vals) -> np.ndarray:
-    if not isinstance(vals, list):
-        raise DimensionMismatch("vector must be a JSON array")
-    return np.array([_entry_from_json(v) for v in vals], dtype=complex)

@@ -57,6 +57,11 @@ class EigenDecomposition:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def exp_i(self, t: float) -> np.ndarray:
+        """exp(i*a*t) for the decomposed matrix a."""
+        v = self.eigenvectors
+        return (v * np.exp(1j * self.eigenvalues * t)) @ v.conj().T
+
 
 def eigh(m: np.ndarray) -> EigenDecomposition:
     """Hermitian eigendecomposition with ascending real eigenvalues."""
@@ -67,9 +72,7 @@ def eigh(m: np.ndarray) -> EigenDecomposition:
 
 def exp_unitary(a: np.ndarray, t: float) -> np.ndarray:
     """exp(i*a*t) for Hermitian ``a``, computed spectrally."""
-    dec = eigh(a)
-    v = dec.eigenvectors
-    return (v * np.exp(1j * dec.eigenvalues * t)) @ v.conj().T
+    return eigh(a).exp_i(t)
 
 
 def density(vec: np.ndarray) -> np.ndarray:

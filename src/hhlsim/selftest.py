@@ -49,7 +49,7 @@ def check_reciprocal_swap(theta_big: float) -> str | None:
 
 
 def check_entangling_census(theta_big: float) -> str | None:
-    for ff in ("unitary", "semiclassical"):
+    for ff in c2.FEEDFORWARD_MODES:
         cfg = c2.CompiledConfig(input_b="b3", feedforward=ff, theta_big=theta_big)
         circ = c2.build_compiled_circuit(cfg)
         census = circ.gate_census()
@@ -82,7 +82,7 @@ def check_feedforward_equivalence(theta_big: float) -> str | None:
     for _ in range(10):
         vec = c2.input_from_angle(rng.uniform(0, 2 * math.pi))
         ref = None
-        for ff in ("unitary", "semiclassical"):
+        for ff in c2.FEEDFORWARD_MODES:
             cfg = c2.CompiledConfig(input_b=vec, feedforward=ff, theta_big=theta_big)
             x = c2.run_compiled(cfg, seed=int(rng.integers(1 << 30))).x_state
             if ref is None:
@@ -125,7 +125,7 @@ def check_random_problems(theta_big: float) -> str | None:
 
 
 def check_register_reset(theta_big: float) -> str | None:
-    for name in ("b1", "b2", "b3"):
+    for name in c2.INPUT_PRESETS:
         if not run_hhl(an.reference_problem(c2.INPUT_PRESETS[name])).register_reset_ok:
             return f"generic {name} register not reset"
         cfg = c2.CompiledConfig(input_b=name, theta_big=theta_big)

@@ -8,7 +8,7 @@ from hhlsim import analysis as an
 from hhlsim import circuit as cq
 from hhlsim import compiled2x2 as cp
 from hhlsim import hhl, qstate
-from hhlsim.errors import BadFlag, DimensionMismatch, UnphysicalExpectations
+from hhlsim.errors import BadFlag, DimensionMismatch, NotNormalized, UnphysicalExpectations
 
 X_CL_B3 = np.array([3.0, -1.0]) / math.sqrt(10)
 
@@ -368,3 +368,12 @@ def test_report_csv_rows():
     assert all(isinstance(row[4], float) for row in sampled)
     rows_b3 = [r for r in sampled if r[0] == "b3"]
     assert [r[1] for r in rows_b3] == ["z", "x", "y"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_custom_input_is_checked_before_sampling():
+    for mode in an.MODES:
+        with pytest.raises(NotNormalized, match="non-finite"):
+            an.sampled_success(mode, [math.nan, 0.0], 10)
+        with pytest.raises(NotNormalized):
+            an.shot_estimates(mode, [1e200, 1.0], 10)

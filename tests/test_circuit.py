@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -667,3 +668,51 @@ def test_json_round_trip_property(c):
     assert back == c
     if all(isinstance(op, cq.Gate) for op in c.ops):
         assert np.array_equal(back.unitary_matrix(), c.unitary_matrix())
+
+
+@pytest.mark.filterwarnings("error")
+def test_measuring_a_zero_or_non_finite_state_raises():
+    c = cq.Circuit(1, [cq.h(0), cq.Measure(0, 0)])
+    for bad in (np.zeros(2), np.array([math.nan, 0.0])):
+        with pytest.raises(ZeroProbability):
+            cq.sample_shots(c, bad, 10)
+        with pytest.raises(ZeroProbability):
+            cq.run(c, bad)
+        with pytest.raises(ZeroProbability):
+            cq.enumerate_branches(c, bad)
+    # a nonzero input whose every branch is pruned leaves nothing to sample
+    tiny = np.array([1e-20, 0.0])
+    assert cq.enumerate_branches(c, tiny) == []
+    with pytest.raises(ZeroProbability):
+        cq.sample_shots(c, tiny, 10)
+
+
+def test_stock_gates_come_from_one_table():
+    for name in cq._STOCK:
+        with pytest.raises(BadIndex, match="reserved"):
+            cq.unitary(np.eye(2), [0], name=name)
+    # every stock gate is rebuilt from its name, targets and angles alone
+    c = cq.Circuit(2, [cq.x(0), cq.y(1), cq.z(0), cq.h(1), cq.swap(0, 1),
+                        cq.phase(0, 0.3), cq.h_theta(1, 0.2)])
+    assert {op.name for op in c.ops} == set(cq._STOCK)
+    d = c.to_json_dict()
+    assert all("matrix" not in op for op in d["ops"])
+    assert cq.Circuit.from_json_dict(d) == c
+
+
+@pytest.mark.parametrize("entry", [True, None, "1", [1.0], [1.0, 0.0, 0.0], [False, 0.0]])
+def test_from_json_rejects_a_malformed_matrix_entry(entry):
+    d = cq.Circuit(1, [cq.unitary(np.eye(2), [0])]).to_json_dict()
+    d["ops"][0]["matrix"][0][0] = entry
+    with pytest.raises(DimensionMismatch):
+        cq.Circuit.from_json_dict(d)
+
+
+def test_complex_json_codec_round_trips_bit_for_bit():
+    rng = np.random.default_rng(5)
+    m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    m[0, 0] = complex(-0.0, 0.0)
+    back = cq.complex_from_json(json.loads(json.dumps(cq.complex_to_json(m))), 2)
+    assert back.tobytes() == m.tobytes()
+    assert cq.complex_to_json(1 - 2j) == [1.0, -2.0]
+    assert cq.complex_from_json([1, [0.5, -2]], 1).tolist() == [1 + 0j, 0.5 - 2j]

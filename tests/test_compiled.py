@@ -195,3 +195,15 @@ def test_census_in_result():
     semi = cp.run_compiled(cp.CompiledConfig("b3", feedforward="semiclassical"))
     assert semi.gate_count["entangling"] == 4
     assert semi.gate_count["measure"] == 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_custom_input_is_checked_by_the_pipeline_rule():
+    # the norm is scale safe, and a non-finite entry is named
+    for b in ([1e200, 1.0], [math.nan, 0.0], [1e-200, 0.0]):
+        with pytest.raises(NotNormalized):
+            cp.CompiledConfig(input_b=b)
+    with pytest.raises(DimensionMismatch):
+        cp.CompiledConfig(input_b=[1.0, 0.0, 0.0])
+    # a bare list is read as the vector it holds
+    assert np.array_equal(cp.input_vector(cp.CompiledConfig(input_b=[0.6, 0.8])), [0.6, 0.8])

@@ -6,7 +6,7 @@ import pytest
 
 import helpers
 from hhlsim import circuit as cq
-from hhlsim import hhl
+from hhlsim import hhl, qstate
 from hhlsim.errors import (
     DimensionMismatch,
     InvalidC,
@@ -95,7 +95,7 @@ def test_resolve_c_default_tracks_populated_spectrum():
 
 def test_phase_estimation_writes_eigenvalue():
     p = ref_problem(B1)
-    out = cq.run(hhl.phase_estimation_circuit(p), hhl.initial_state(p)).state
+    out = cq.run(hhl.phase_estimation_circuit(p, hhl.validate(p)), hhl.initial_state(p)).state
     idx = np.arange(out.size)
     reg = (idx >> 1) & 0b11
     for k in range(4):
@@ -104,15 +104,19 @@ def test_phase_estimation_writes_eigenvalue():
 
 
 def test_reciprocal_rotation_census_and_bounds():
-    rot = hhl.reciprocal_rotation_circuit(ref_problem(B3))
+    p = ref_problem(B3)
+    rot = hhl.reciprocal_rotation_circuit(p, hhl.validate(p))
     assert rot.gate_census() == {"cch_theta": 3, "x": 4}
     # C too large for a populated branch is rejected
+    p3, p1 = ref_problem(B3, c_const=3.0), ref_problem(B1, c_const=3.0)
+    info3, info1 = hhl.validate(p3), hhl.validate(p1)
     with pytest.raises(InvalidC):
-        hhl.reciprocal_rotation_circuit(ref_problem(B3, c_const=3.0))
+        hhl.reciprocal_rotation_circuit(p3, info3)
     with pytest.raises(InvalidC):
-        hhl.reciprocal_rotation_circuit(ref_problem(B1, c_const=3.0))
+        hhl.reciprocal_rotation_circuit(p1, info1)
     # but an overlarge amplitude on an unpopulated value is skipped
-    rot2 = hhl.reciprocal_rotation_circuit(ref_problem(B1, c_const=2.0))
+    p = ref_problem(B1, c_const=2.0)
+    rot2 = hhl.reciprocal_rotation_circuit(p, hhl.validate(p))
     assert rot2.gate_census()["cch_theta"] == 2
 
 
@@ -121,7 +125,7 @@ def test_phase_estimation_ends_with_register_inverse_qft():
     # register alone: identity on the solution qubits and the ancilla
     for n in range(1, 5):
         p = hhl.HhlProblem(A_REF, B3, n)
-        pe = hhl.phase_estimation_circuit(p)
+        pe = hhl.phase_estimation_circuit(p, hhl.validate(p))
         assert [op.name for op in pe.ops[:n]] == ["h"] * n
         block = cq.Circuit(p.qubits, pe.ops[2 * n:]).unitary_matrix()
         dim = 1 << n
@@ -284,8 +288,8 @@ def test_register_resolution_improves_offgrid_fidelity():
 def test_pipeline_circuit_composes_stages():
     p = ref_problem(B3)
     pipe = hhl.pipeline_circuit(p)
-    pe = hhl.phase_estimation_circuit(p)
-    rot = hhl.reciprocal_rotation_circuit(p)
+    pe = hhl.phase_estimation_circuit(p, hhl.validate(p))
+    rot = hhl.reciprocal_rotation_circuit(p, hhl.validate(p))
     want = pe.inverse().unitary_matrix() @ rot.unitary_matrix() @ pe.unitary_matrix()
     assert np.allclose(pipe.unitary_matrix(), want, atol=1e-11)
     # driving the composed circuit by hand reproduces run_hhl's output
@@ -328,3 +332,49 @@ def test_result_to_dict():
     assert d["register_reset_ok"] is True
     assert d["gate_count"]["entangling"] == 9
     assert list(d["gate_count"]) == sorted(d["gate_count"])
+
+
+def test_run_hhl_validates_once_and_builds_each_stage_once(monkeypatch):
+    p = hhl.HhlProblem(A_REF, B3, 7)
+    stage_sizes = [len(hhl.phase_estimation_circuit(p, hhl.validate(p)).ops),
+                   len(hhl.reciprocal_rotation_circuit(p, hhl.validate(p)).ops)]
+    calls = {"validate": 0, "eigh": 0}
+    censused = []
+    validate, eigh, census = hhl.validate, np.linalg.eigh, cq.Circuit.gate_census
+
+    def counted_validate(p):
+        calls["validate"] += 1
+        return validate(p)
+
+    def counted_eigh(m):
+        calls["eigh"] += 1
+        return eigh(m)
+
+    def recorded_census(c):
+        censused.append(len(c.ops))
+        return census(c)
+
+    def unreachable(*args):
+        raise AssertionError("exp_unitary called during a solve")
+
+    monkeypatch.setattr(hhl, "validate", counted_validate)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(qstate, "exp_unitary", unreachable)
+    monkeypatch.setattr(cq.Circuit, "gate_census", recorded_census)
+    res = hhl.run_hhl(p)
+    assert calls == {"validate": 1, "eigh": 1}
+    # the gate count is taken from the three stages, not from their concatenation
+    assert censused == stage_sizes + stage_sizes[:1]
+    assert res.fidelity_vs_classical >= 1 - 1e-9
+
+
+def test_gate_count_is_the_pipeline_census():
+    # the concatenated circuit, no longer built by run_hhl, referees its count
+    for n in range(1, 8):
+        for b in (B2, B3):
+            p = hhl.HhlProblem(A_REF, b, n, c_const=1.0)
+            pipe = hhl.pipeline_circuit(p)
+            want = pipe.gate_census()
+            want["entangling"] = pipe.entangling_count()
+            got = hhl.run_hhl(p).gate_count
+            assert list(got.items()) == list(want.items())
