@@ -251,8 +251,8 @@ def _readout(circ: qc.Circuit, init: np.ndarray) -> tuple[qc.Circuit, np.ndarray
     split = next(
         (i for i, op in enumerate(circ.ops) if not isinstance(op, qc.Gate)), len(circ.ops)
     )
-    state = qc.run(qc.Circuit(circ.qubits, circ.ops[:split]), init).state
-    return qc.Circuit(circ.qubits, circ.ops[split:]), state
+    state = qc.run(qc.Circuit._of(circ.qubits, circ.ops[:split]), init).state
+    return qc.Circuit._of(circ.qubits, circ.ops[split:]), state
 
 
 def _sample_wires(tail: qc.Circuit, state: np.ndarray, ops: list, wires,
@@ -264,7 +264,7 @@ def _sample_wires(tail: qc.Circuit, state: np.ndarray, ops: list, wires,
     """
     prior = sum(1 for op in tail.ops if isinstance(op, qc.Measure))
     measures = [qc.Measure(q, prior + i) for i, q in enumerate(wires)]
-    circ = qc.Circuit(tail.qubits, list(tail.ops) + list(ops) + measures)
+    circ = tail.then(qc.Circuit(tail.qubits, [*ops, *measures]))
     counts: dict[str, int] = {}
     for rec, n in qc.sample_shots(circ, state, shots, seed=seed).items():
         counts[rec[prior:]] = counts.get(rec[prior:], 0) + n

@@ -2,9 +2,11 @@
 
 Qubit 0 is the least significant bit of a basis index, matching
 ``qstate``. Circuits and gates are treated as immutable: build the op
-list first, then wrap it in a :class:`Circuit`. The stock gates are one
-table, and complex arrays go to and from JSON through one codec,
-:func:`complex_to_json` and :func:`complex_from_json`.
+list first, then wrap it in a :class:`Circuit`, which validates it; a
+circuit derived from validated ones reuses their ops unchecked, and a
+gate may recur. The stock gates are one table, and complex arrays go to
+and from JSON through one codec, :func:`complex_to_json` and
+:func:`complex_from_json`.
 
 Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
@@ -46,7 +48,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,10 +130,10 @@ class Gate:
     def dagger(self) -> "Gate":
         if self.name == "phase":
             phi = dict(self.params)["phi"]
-            return replace(phase(self.targets[0], -phi), controls=self.controls)
+            return controlled(phase(self.targets[0], -phi), *self.controls)
         if self.name in _STOCK:
             return self  # every stock gate but phase is its own inverse
-        return replace(self, matrix=self.matrix.conj().T)
+        return Gate(self.name, self.matrix.conj().T, self.targets, self.controls, self.params)
 
 
 @dataclass(frozen=True)
@@ -201,19 +203,19 @@ def unitary(matrix: np.ndarray, targets, name: str = "unitary") -> Gate:
 
 def controlled(gate: Gate, *controls: int) -> Gate:
     """Add control qubits to an existing gate."""
-    return replace(gate, controls=gate.controls + tuple(int(c) for c in controls))
+    controls = gate.controls + tuple(int(c) for c in controls)
+    return Gate(gate.name, gate.matrix, gate.targets, controls, gate.params)
 
 
 def cnot(control: int, target: int) -> Gate:
     return controlled(x(target), control)
 
 
-# stock gates by name: constructor and the names of its angle parameters.
-# They are rebuilt from name, targets and angles alone; any other gate
-# serializes its matrix explicitly
+# stock gates by name: constructor, target count and angle names, from which
+# they are rebuilt; any other gate serializes its matrix explicitly
 _STOCK = {
-    "x": (x, ()), "y": (y, ()), "z": (z, ()), "h": (h, ()), "swap": (swap, ()),
-    "phase": (phase, ("phi",)), "h_theta": (h_theta, ("theta",)),
+    "x": (x, 1, ()), "y": (y, 1, ()), "z": (z, 1, ()), "h": (h, 1, ()), "swap": (swap, 2, ()),
+    "phase": (phase, 1, ("phi",)), "h_theta": (h_theta, 1, ("theta",)),
 }
 
 
@@ -241,6 +243,13 @@ class Circuit:
             else:
                 raise BadIndex(f"unknown op {op!r}")
 
+    @classmethod
+    def _of(cls, qubits: int, ops: tuple) -> "Circuit":
+        """A circuit of ops that a circuit of this width has validated, not checked again."""
+        c = object.__new__(cls)
+        c.__dict__.update(qubits=qubits, ops=ops)
+        return c
+
     def _check_gate(self, g: Gate) -> None:
         for q in g.targets + g.controls:
             if not 0 <= q < self.qubits:
@@ -249,16 +258,13 @@ class Circuit:
     def then(self, other: "Circuit") -> "Circuit":
         if other.qubits != self.qubits:
             raise DimensionMismatch("cannot concatenate circuits of different widths")
-        return Circuit(self.qubits, self.ops + other.ops)
+        return Circuit._of(self.qubits, self.ops + other.ops)
 
     def inverse(self) -> "Circuit":
         """Reverse the op order and invert each gate. Unitary ops only."""
-        inv = []
-        for op in reversed(self.ops):
-            if not isinstance(op, Gate):
-                raise BadIndex("cannot invert a circuit containing measurements")
-            inv.append(op.dagger())
-        return Circuit(self.qubits, inv)
+        if not all(isinstance(op, Gate) for op in self.ops):
+            raise BadIndex("cannot invert a circuit containing measurements")
+        return Circuit._of(self.qubits, tuple(op.dagger() for op in reversed(self.ops)))
 
     def unitary_matrix(self) -> np.ndarray:
         """Full 2**q unitary of a measurement-free circuit."""
@@ -365,10 +371,12 @@ def _op_from_dict(d: dict):
         if not isinstance(inner, Gate):
             raise BadIndex("conditional op must wrap a gate")
         return ConditionalGate(inner, int(d["slot"]), int(d.get("outcome", 1)))
-    targets = [int(t) for t in d["targets"]]
+    targets = [int(t) for t in d.get("targets", [])]
     controls = [int(c) for c in d.get("controls", [])]
     if kind in _STOCK:
-        make, angles = _STOCK[kind]
+        make, arity, angles = _STOCK[kind]
+        if len(targets) != arity or any(name not in d for name in angles):
+            raise BadIndex(f"gate {kind!r} needs {arity} target(s) and angles {list(angles)}: {d!r}")
         g = make(*targets, *(float(d[name]) for name in angles))
     elif "matrix" in d:
         g = unitary(complex_from_json(d["matrix"], 2), targets, name=kind)
@@ -570,9 +578,11 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
     backend. Each measurement collapses on one draw from the generator
     keyed by (seed, 0), taken in program order; the generator is built at
     the first measurement. Measuring a zero or non-finite state raises
-    ZeroProbability.
+    ZeroProbability, and so does a non-finite input, before any gate runs.
     """
     arr = np.asarray(input, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ZeroProbability("the input state has a non-finite entry")
     if arr.ndim == 1 and arr.size != (1 << c.qubits):
         raise DimensionMismatch(f"input size {arr.size} does not match {c.qubits} qubits")
     if arr.ndim == 2 or noise is not None:
@@ -634,9 +644,11 @@ def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
     """All measurement branches of a circuit on a pure input, depth first.
 
     The record string lists outcomes in program order. Branches below
-    probability 1e-15 are pruned.
+    probability 1e-15 are pruned. A non-finite input raises ZeroProbability.
     """
     arr = np.asarray(input, dtype=complex)
+    if not np.all(np.isfinite(arr)):
+        raise ZeroProbability("the input state has a non-finite entry")
     if arr.size != (1 << c.qubits):
         raise DimensionMismatch(f"input size {arr.size} does not match {c.qubits} qubits")
 

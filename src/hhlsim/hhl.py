@@ -262,10 +262,11 @@ def reciprocal_rotation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circu
     """
     n = p.n_register
     regs = p.register_qubits()
+    flip = [qc.x(q) for q in regs]
     ops: list = []
     for k, amp in _rotation_amplitudes(p, info).items():
         theta = 0.5 * math.asin(amp)
-        flips = [qc.x(regs[i]) for i in range(n) if not (k >> i) & 1]
+        flips = [flip[i] for i in range(n) if not (k >> i) & 1]
         ops.extend(flips)
         ops.append(qc.controlled(qc.h_theta(0, theta), *regs))
         ops.extend(flips)

@@ -37,8 +37,8 @@ def num_qubits(dim: int) -> int:
 
 def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_INPUT_ATOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NotHermitian("matrix has a non-finite entry")
     if np.max(np.abs(m - m.conj().T)) > atol:

@@ -210,3 +210,23 @@ def sample_shots_naive(branches, shots: int, seed: int) -> dict[str, int]:
             prefix += "1" if row[k] < share[prefix] else "0"
         counts[prefix] = counts.get(prefix, 0) + 1
     return counts
+
+
+def reciprocal_rotation_naive(n: int, amps: dict[int, float]) -> list:
+    """The reciprocal rotation written out gate by gate, as plain tuples.
+
+    Each entry is (name, targets, controls, params, matrix). For every
+    register value k rotated with ancilla amplitude ``amps[k]``: an X on
+    each register wire 1 + i whose bit i of k is 0, the reflection by
+    arcsin(amps[k]) / 2 on the ancilla controlled by every register wire,
+    and the same X gates again.
+    """
+    ops = []
+    regs = tuple(range(1, n + 1))
+    for k, amp in amps.items():
+        flips = [("x", (regs[i],), (), (), X) for i in range(n) if not (k >> i) & 1]
+        theta = 0.5 * math.asin(amp)
+        ops += flips
+        ops.append(("h_theta", (0,), regs, (("theta", theta),), h_theta_matrix(theta)))
+        ops += flips
+    return ops

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from hhlsim import analysis
 from hhlsim import circuit as cq
+from hhlsim import compiled2x2 as c2
 from hhlsim import qstate
 from hhlsim.errors import (
     BadFlag,
@@ -716,3 +719,112 @@ def test_complex_json_codec_round_trips_bit_for_bit():
     assert back.tobytes() == m.tobytes()
     assert cq.complex_to_json(1 - 2j) == [1.0, -2.0]
     assert cq.complex_from_json([1, [0.5, -2]], 1).tolist() == [1 + 0j, 0.5 - 2j]
+
+
+def unchecked(self, g):
+    raise AssertionError(f"op {g!r} validated again")
+
+
+def test_derived_circuits_reuse_validated_ops(monkeypatch):
+    rng = np.random.default_rng(11)
+    c = cq.Circuit(3, [
+        cq.h(0), cq.cnot(0, 1), cq.swap(0, 2), cq.controlled(cq.phase(2, 0.9), 0),
+        cq.unitary(helpers.random_unitary(rng, 4), [2, 1]),
+    ])
+    m = cq.Circuit(3, [cq.Measure(0, 0), cq.ConditionalGate(cq.x(1), 0)])
+    want_inverse = cq.Circuit(3, [g.dagger() for g in reversed(c.ops)])
+    monkeypatch.setattr(cq.Circuit, "_check_gate", unchecked)
+    both = c.then(m).then(c)
+    assert len(both.ops) == 2 * len(c.ops) + len(m.ops)
+    assert all(a is b for a, b in zip(both.ops, c.ops + m.ops + c.ops))
+    inv = c.inverse()
+    assert inv == want_inverse
+    # a gate that is its own inverse comes back as the same object
+    assert [op is g for op, g in zip(inv.ops, reversed(c.ops))] == [False, False, True, True, True]
+    assert both.then(cq.Circuit(3)).ops == both.ops
+    with pytest.raises(DimensionMismatch):
+        c.then(cq.Circuit(2))
+    with pytest.raises(BadIndex):
+        m.inverse()
+    with pytest.raises(BadIndex):
+        c.then(m).inverse()
+
+
+def test_readout_validates_only_the_ops_it_adds(monkeypatch):
+    cfg = c2.CompiledConfig(feedforward="semiclassical")
+    circ, init = c2.build_compiled_circuit(cfg), c2.initial_state(cfg)
+    checked = []
+    check = cq.Circuit._check_gate
+    monkeypatch.setattr(cq.Circuit, "_check_gate", lambda self, g: (checked.append(g), check(self, g))[1])
+    tail, state = analysis._readout(circ, init)
+    assert checked == []
+    assert any(isinstance(op, cq.ConditionalGate) for op in tail.ops)
+    frame = analysis._basis_ops("y", c2.INPUT)
+    counts = analysis._sample_wires(tail, state, frame, [c2.INPUT], 100, 0)
+    assert [id(g) for g in checked] == [id(g) for g in frame]
+    assert sum(counts.values()) == 100
+
+
+@pytest.mark.parametrize("ctrls", [(), (2,), (3, 2)])
+def test_derived_gates_match_dataclasses_replace(ctrls):
+    rng = np.random.default_rng(12)
+    bases = [
+        cq.x(0), cq.y(1), cq.z(0), cq.h(1), cq.swap(0, 1), cq.phase(0, 0.3), cq.h_theta(1, 0.2),
+        cq.controlled(cq.phase(1, -1.3), 4), cq.unitary(helpers.random_unitary(rng, 4), [1, 0]),
+        cq.controlled(cq.unitary(helpers.random_unitary(rng, 2), [0], name="u1"), 5),
+    ]
+    assert {g.name for g in bases} >= set(cq._STOCK)
+    for g in bases:
+        got = cq.controlled(g, *ctrls)
+        want = dataclasses.replace(g, controls=g.controls + ctrls)
+        assert got == want and pickle.dumps(got) == pickle.dumps(want)
+        if got.name == "phase":
+            phi = dict(got.params)["phi"]
+            want_dagger = dataclasses.replace(cq.phase(got.targets[0], -phi), controls=got.controls)
+        elif got.name in cq._STOCK:
+            want_dagger = got
+        else:
+            want_dagger = dataclasses.replace(got, matrix=got.matrix.conj().T)
+        assert got.dagger() == want_dagger
+        assert pickle.dumps(got.dagger()) == pickle.dumps(want_dagger)
+    with pytest.raises(BadIndex):
+        cq.controlled(cq.x(0), 0)
+    with pytest.raises(BadIndex):
+        cq.controlled(cq.controlled(cq.h(0), 1), 1)
+    with pytest.raises(BadIndex):
+        cq.controlled(cq.x(0), -1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("op", [
+    {"gate": "x", "targets": [0, 1]},
+    {"gate": "swap", "targets": [0]},
+    {"gate": "h"},
+    {"gate": "phase", "targets": [0]},
+    {"gate": "h_theta", "targets": [1], "phi": 0.2},
+    {"gate": "conditional", "slot": 0, "inner": {"gate": "z", "targets": []}},
+])
+def test_from_json_rejects_a_malformed_stock_op(op):
+    kind = (op.get("inner") or op)["gate"]
+    with pytest.raises(BadIndex, match=f"gate '{kind}'"):
+        cq.Circuit.from_json_dict({"qubits": 2, "ops": [{"gate": "measure", "targets": [0], "slot": 0}, op]})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf)])
+def test_a_non_finite_input_is_refused_before_any_gate(bad, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a gate ran on a non-finite input")
+
+    monkeypatch.setattr(cq, "_apply", unreachable)
+    psi = np.array([bad, 0.0])
+    for c in (cq.Circuit(1, [cq.h(0), cq.Measure(0, 0)]), cq.Circuit(1, [cq.h(0)])):
+        for call in (
+            lambda: cq.run(c, psi),
+            lambda: cq.run(c, psi, noise=cq.NoiseSpec(0.1)),
+            lambda: cq.run(c, np.diag(psi)),
+            lambda: cq.enumerate_branches(c, psi),
+            lambda: cq.sample_shots(c, psi, 10),
+        ):
+            with pytest.raises(ZeroProbability, match="non-finite"):
+                call()

@@ -378,3 +378,25 @@ def test_gate_count_is_the_pipeline_census():
             want["entangling"] = pipe.entangling_count()
             got = hhl.run_hhl(p).gate_count
             assert list(got.items()) == list(want.items())
+
+
+def test_reciprocal_rotation_is_the_plain_expansion():
+    rng = np.random.default_rng(14)
+    problems = [hhl.HhlProblem(A_REF, b, n) for n in range(1, 8) for b in (B1, B3)]
+    problems += [hhl.HhlProblem(*helpers.random_exact_problem(rng, 4, n), n) for n in range(3, 6)]
+    for p in problems:
+        info = hhl.validate(p)
+        ops = hhl.reciprocal_rotation_circuit(p, info).ops
+        want = helpers.reciprocal_rotation_naive(p.n_register, hhl._rotation_amplitudes(p, info))
+        assert len(ops) == len(want)
+        for op, (name, targets, controls, params, matrix) in zip(ops, want):
+            assert (op.name, op.targets, op.controls, op.params) == (name, targets, controls, params)
+            assert np.array_equal(op.matrix, matrix)
+        # the flips of one wire are one shared gate
+        assert len({id(op) for op in ops if op.name == "x"}) <= p.n_register
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_empty_matrix_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
+        hhl.validate(hhl.HhlProblem(np.zeros((0, 0)), np.zeros(0), 2))

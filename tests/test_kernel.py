@@ -10,7 +10,8 @@ branch weight every measurement and register check reads with a sum
 over basis indices. The kernel's plan cache must serve every array
 shape of one geometry, keep checking the width, and stay within its
 bound. No package module may build a Kronecker product, the dense gate
-path the kernel replaced.
+path the kernel replaced, nor derive a gate or circuit by
+``dataclasses.replace``, which looks its fields up again on every call.
 """
 import ast
 import math
@@ -153,6 +154,24 @@ def test_no_module_builds_a_kronecker_product():
                     else node.name if isinstance(node, ast.alias) else None)
             if name == "kron":
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert len(list(src.glob("*.py"))) > 5
+    assert found == []
+
+
+def test_no_module_calls_dataclasses_replace():
+    src = Path(cq.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        # the names the module binds to dataclasses itself; str.replace is fine
+        module = {a.asname or a.name for n in nodes if isinstance(n, ast.Import)
+                  for a in n.names if a.name == "dataclasses"}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found += [f"{path.name}:{node.lineno}" for a in node.names if a.name == "replace"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "replace"
+                  and isinstance(node.value, ast.Name) and node.value.id in module):
+                found.append(f"{path.name}:{node.lineno}")
     assert len(list(src.glob("*.py"))) > 5
     assert found == []
 
