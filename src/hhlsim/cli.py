@@ -26,10 +26,10 @@ import sys
 import numpy as np
 
 from . import analysis as an
-from .circuit import complex_from_json, complex_to_json
+from .circuit import complex_to_json
 from .compiled2x2 import FEEDFORWARD_MODES, INPUT_PRESETS
 from .errors import BadFlag, SimulationError, ZeroProbability
-from .hhl import HhlProblem, result_to_dict, run_hhl
+from .hhl import problem_from_dict, result_to_dict, run_hhl
 from .selftest import run_selftest
 
 SCHEMA_VERSION = "2"
@@ -95,9 +95,8 @@ def _load_json(path: str):
 
 def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
-    a = complex_from_json(_load_json(args.matrix), 2)
-    b = complex_from_json(_load_json(args.vector), 1)
-    problem = HhlProblem(a=a, b=b, n_register=args.register_bits, c_const=args.c_const)
+    problem = problem_from_dict({"matrix": _load_json(args.matrix), "vector": _load_json(args.vector),
+                                 "register_bits": args.register_bits, "c_const": args.c_const})
     result = run_hhl(problem)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -105,8 +104,8 @@ def cmd_solve(args) -> int:
         "config": {
             "matrix_file": args.matrix,
             "vector_file": args.vector,
-            "matrix": complex_to_json(a),
-            "vector": complex_to_json(b),
+            "matrix": complex_to_json(problem.a),
+            "vector": complex_to_json(problem.b),
             "register_bits": args.register_bits,
             "c_const": args.c_const,
             "t0": problem.t0,

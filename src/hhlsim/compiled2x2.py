@@ -202,7 +202,7 @@ def run_compiled(cfg: CompiledConfig, seed: int = 0) -> HhlResult:
     # the coherent uncompute is exact on this circuit; use it to certify
     # that the inverse estimation disentangles the register
     pe = _phase_estimation_ops()
-    probe = qc.Circuit(4, pe + _rotation_ops(cfg) + list(qc.Circuit(4, pe).inverse().ops))
+    probe = qc.Circuit(4, pe + _rotation_ops(cfg)).then(qc.Circuit(4, pe).inverse())
     probe_state = qc.run(probe, initial_state(cfg)).state
     residual = 1.0 - qc._weight(probe_state, {R1: 0, R2: 0})
 

@@ -18,9 +18,9 @@ eigenvalues all map to integers in [1, 2**n - 1] are called exact;
 other spectra still run, with register spreading and the reported
 fidelity honestly degraded.
 
-A solve calls :func:`validate` once; its one eigendecomposition gives
-the phase-estimation powers and the rotation amplitudes, and each stage
-circuit is built once.
+A solve calls :func:`validate`, the one reader of the spectrum, once;
+its :class:`ValidationInfo` gives the phase-estimation powers, the
+rotation amplitudes and the closed form, and each stage is built once.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import circuit as qc
 from .errors import DimensionMismatch, InvalidC, NotNormalized, NotPositiveDefinite, Singular, ZeroProbability
-from .qstate import EigenDecomposition, check_hermitian, eigh, num_qubits, state_fidelity
+from .qstate import EigenDecomposition, eigh, num_qubits, state_fidelity
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,11 +98,27 @@ class HhlProblem:
 
 @dataclass(frozen=True)
 class ValidationInfo:
-    """Condition number, exact-spectrum flag and the eigendecomposition."""
+    """All the pipeline reads from the spectrum, worked out once by :func:`validate`.
+
+    ``kappa`` is the condition number; ``exact`` says every eigenvalue
+    lands on a register value in [1, 2**n - 1]. ``betas`` are b's weights
+    on the eigenvector columns of ``spectrum``, ``phases`` the register
+    positions lambda * t0 / (2*pi). ``populated`` lists, ascending, the
+    register values b populates: the positions with |beta| above
+    POPULATED_ATOL when exact, else every nonzero value, as phase
+    estimation then spreads over the whole register. ``c`` is the
+    rotation constant: the problem's own, or the smallest populated value
+    in eigenvalue units, which maximizes the success probability and,
+    when inexact, keeps every branch amplitude valid.
+    """
 
     kappa: float
     exact: bool
     spectrum: EigenDecomposition
+    betas: np.ndarray
+    phases: np.ndarray
+    populated: list[int] | range
+    c: float
 
 
 @dataclass(frozen=True)
@@ -155,10 +171,9 @@ def check_unit_vector(b: np.ndarray, dim: int) -> None:
 
 
 def validate(p: HhlProblem) -> ValidationInfo:
-    """Check the problem statement and classify its spectrum."""
-    check_hermitian(p.a)
-    check_unit_vector(p.b, p.dim)
+    """Check the problem statement and read its spectrum once; see :class:`ValidationInfo`."""
     spectrum = eigh(p.a)
+    check_unit_vector(p.b, p.dim)
     kappa = _condition_number(np.abs(spectrum.eigenvalues))
     lam_min = float(spectrum.eigenvalues.min())
     if lam_min < 0:
@@ -167,6 +182,7 @@ def validate(p: HhlProblem) -> ValidationInfo:
         raise NotPositiveDefinite(f"matrix has negative eigenvalue {lam_min!r}")
     top = (1 << p.n_register) - 1
     exact = True
+    phases = []
     for lam in spectrum.eigenvalues:
         # Python float arithmetic overflows to inf without a numpy warning
         k = float(lam) * p.t0 / TWO_PI
@@ -174,38 +190,14 @@ def validate(p: HhlProblem) -> ValidationInfo:
             raise DimensionMismatch(f"eigenvalue {float(lam)!r} at t0 = {p.t0!r} overflows the register")
         if abs(k - round(k)) > 1e-9 or not 1 <= round(k) <= top:
             exact = False
-    return ValidationInfo(kappa, exact, spectrum)
-
-
-def _populated_values(p: HhlProblem, info: ValidationInfo) -> list[int]:
-    """Register integers carrying eigenvector weight of b.
-
-    For an exact spectrum these are the populated eigenvalues in
-    register units. An inexact spectrum spreads over the whole register,
-    so every representable value counts as populated.
-    """
-    if not info.exact:
-        return list(range(1, 1 << p.n_register))
-    betas = info.spectrum.eigenvectors.conj().T @ p.b
-    ks = {
-        int(round(lam * p.t0 / TWO_PI))
-        for lam, beta in zip(info.spectrum.eigenvalues, betas)
-        if abs(beta) > POPULATED_ATOL
-    }
-    return sorted(ks)
-
-
-def resolve_c(p: HhlProblem, info: ValidationInfo | None = None) -> float:
-    """The rotation constant: explicit value, or smallest populated eigenvalue."""
-    if p.c_const is not None:
-        return float(p.c_const)
-    info = info or validate(p)
-    scale = TWO_PI / p.t0
-    if info.exact:
-        return min(_populated_values(p, info)) * scale
-    # spreading can put weight on any register value, so only the smallest
-    # representable eigenvalue keeps every branch amplitude valid
-    return scale
+        phases.append(k)
+    betas = spectrum.eigenvectors.conj().T @ p.b
+    if exact:
+        populated = sorted({round(k) for k, beta in zip(phases, betas) if abs(beta) > POPULATED_ATOL})
+    else:
+        populated = range(1, top + 1)
+    c = float(p.c_const) if p.c_const is not None else min(populated) * (TWO_PI / p.t0)
+    return ValidationInfo(kappa, exact, spectrum, betas, np.array(phases), populated, c)
 
 
 def phase_estimation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circuit:
@@ -237,15 +229,13 @@ def _rotation_amplitudes(p: HhlProblem, info: ValidationInfo) -> dict[int, float
     matrix with an exact spectrum and is not rotated. A value missing
     from the result keeps its ancilla on |0>: s(k) = 0.
     """
-    c_val = resolve_c(p, info)
-    populated = set(_populated_values(p, info))
     amps = {}
     for k in range(1, 1 << p.n_register):
-        amp = c_val * p.t0 / (TWO_PI * k)
+        amp = info.c * p.t0 / (TWO_PI * k)
         if amp > 1.0 + 1e-12:
-            if k in populated:
+            if k in info.populated:
                 raise InvalidC(
-                    f"C = {c_val} needs amplitude {amp} on populated register value {k}"
+                    f"C = {info.c} needs amplitude {amp} on populated register value {k}"
                 )
             continue
         amps[k] = min(amp, 1.0)
@@ -314,10 +304,8 @@ def success_probability(p: HhlProblem) -> float:
     amps = np.zeros(big_t)
     for k, amp in _rotation_amplitudes(p, info).items():
         amps[k] = amp
-    betas = info.spectrum.eigenvectors.conj().T @ p.b
-    phis = info.spectrum.eigenvalues * p.t0 / TWO_PI
-    weights = _fejer(phis[:, None] - np.arange(big_t), big_t)
-    return float(np.sum(np.abs(betas) ** 2 * (weights @ amps**2)))
+    weights = _fejer(info.phases[:, None] - np.arange(big_t), big_t)
+    return float(np.sum(np.abs(info.betas) ** 2 * (weights @ amps**2)))
 
 
 def initial_state(p: HhlProblem) -> np.ndarray:

@@ -120,6 +120,42 @@ def analytic_hhl(a: np.ndarray, b: np.ndarray, c: float | None = None):
     return x / np.linalg.norm(x), p
 
 
+def spectrum_naive(a: np.ndarray, b: np.ndarray, n: int, t0: float, c: float | None):
+    """(exact, populated register values, rotation constant C, |beta_j|^2), by plain loops.
+
+    Eigenvalue j sits at register position lambda_j * t0 / (2*pi). The
+    spectrum is exact when every position is within 1e-9 of an integer
+    in [1, 2**n - 1]; then b populates the positions whose |beta_j|
+    exceeds 1e-12, and otherwise every value from 1 to 2**n - 1. The
+    default C is the smallest populated value in eigenvalue units.
+    """
+    w, v = np.linalg.eigh(a)
+    dim = len(b)
+    top = 2**n - 1
+    exact = True
+    positions, weights = [], []
+    for j in range(dim):
+        beta = 0j
+        for i in range(dim):
+            beta += v[i, j].conjugate() * b[i]
+        pos = float(w[j]) * t0 / (2.0 * math.pi)
+        if abs(pos - round(pos)) > 1e-9 or round(pos) < 1 or round(pos) > top:
+            exact = False
+        positions.append((pos, abs(beta)))
+        weights.append(abs(beta) ** 2)
+    populated = []
+    if exact:
+        for pos, size in positions:
+            if size > 1e-12 and round(pos) not in populated:
+                populated.append(round(pos))
+        populated.sort()
+    else:
+        populated = list(range(1, top + 1))
+    if c is None:
+        c = min(populated) * (2.0 * math.pi / t0)
+    return exact, populated, float(c), np.array(weights)
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(m)

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from hhlsim import circuit as cq
@@ -84,13 +86,13 @@ def test_layout_helpers():
 
 def test_resolve_c_default_tracks_populated_spectrum():
     # b3 populates both eigenvalues, so the default C is the smaller one
-    assert np.isclose(hhl.resolve_c(ref_problem(B3)), 1.0)
+    assert np.isclose(hhl.validate(ref_problem(B3)).c, 1.0)
     # b1 lives entirely on eigenvalue 2, letting C grow to 2
-    assert np.isclose(hhl.resolve_c(ref_problem(B1)), 2.0)
-    assert np.isclose(hhl.resolve_c(ref_problem(B3, c_const=0.7)), 0.7)
+    assert np.isclose(hhl.validate(ref_problem(B1)).c, 2.0)
+    assert np.isclose(hhl.validate(ref_problem(B3, c_const=0.7)).c, 0.7)
     # inexact spectrum: largest safe integer in register units, at least 1
     off = hhl.HhlProblem(np.array([[1.75, 0.25], [0.25, 1.75]]), B3, 2)
-    assert np.isclose(hhl.resolve_c(off), 1.0)
+    assert np.isclose(hhl.validate(off).c, 1.0)
 
 
 def test_phase_estimation_writes_eigenvalue():
@@ -260,7 +262,7 @@ def test_custom_t0_rescales_register():
     p = hhl.HhlProblem(A_REF, B3, 3, t0=2 * hhl.TWO_PI)
     info = hhl.validate(p)
     assert info.exact
-    assert hhl._populated_values(p, info) == [2, 4]
+    assert info.populated == [2, 4]
     res = hhl.run_hhl(p)
     assert res.fidelity_vs_classical >= 1 - 1e-9
     assert np.isclose(res.success_probability, 0.625, atol=1e-10)
@@ -278,7 +280,7 @@ def test_register_resolution_improves_offgrid_fidelity():
         assert not hhl.validate(p).exact
         # default C shrinks to the smallest representable eigenvalue,
         # which cannot affect the solution direction
-        assert np.isclose(hhl.resolve_c(p), hhl.TWO_PI / t0)
+        assert np.isclose(hhl.validate(p).c, hhl.TWO_PI / t0)
         fids.append(hhl.run_hhl(p).fidelity_vs_classical)
     assert all(b > a for a, b in zip(fids, fids[1:]))
     assert np.allclose(
@@ -400,3 +402,56 @@ def test_reciprocal_rotation_is_the_plain_expansion():
 def test_an_empty_matrix_is_a_dimension_mismatch():
     with pytest.raises(DimensionMismatch, match="non-empty square matrix"):
         hhl.validate(hhl.HhlProblem(np.zeros((0, 0)), np.zeros(0), 2))
+
+
+def test_validate_checks_the_matrix_once(monkeypatch):
+    calls = []
+    check = qstate.check_hermitian
+
+    def counted(m, *args, **kwargs):
+        calls.append(m)
+        return check(m, *args, **kwargs)
+
+    monkeypatch.setattr(qstate, "check_hermitian", counted)
+    monkeypatch.setattr(hhl, "check_hermitian", counted, raising=False)
+    hhl.validate(ref_problem(B3))
+    assert len(calls) == 1
+    # a bad matrix is still reported before a bad vector
+    with pytest.raises(NotHermitian):
+        hhl.validate(hhl.HhlProblem(np.array([[1, 1], [0, 1]]), np.array([1.0, 1.0]), 2))
+
+
+@st.composite
+def spectrum_problems(draw):
+    """Hermitian positive-definite 2x2 and 4x4 problems at 1-8 bits, on and off grid.
+
+    b lies on a random nonempty subset of the eigenvectors, so some
+    eigenvalues go unpopulated; C and t0 are explicit or default.
+    """
+    dim = draw(st.sampled_from([2, 4]))
+    n = draw(st.integers(1, 8))
+    top = (1 << n) - 1
+    t0 = draw(st.sampled_from([hhl.TWO_PI, 1.3 * math.pi, 4 * math.pi]))
+    unit = hhl.TWO_PI / t0  # the eigenvalue of register value 1
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(1, top), min_size=dim, max_size=dim))
+    else:
+        ks = draw(st.lists(st.floats(0.1, top + 3), min_size=dim, max_size=dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = helpers.random_unitary(rng, dim)
+    a = (v * (np.array(ks, dtype=float) * unit)) @ v.conj().T
+    support = draw(st.lists(st.booleans(), min_size=dim, max_size=dim).filter(any))
+    b = v @ (np.array(support) * (rng.normal(size=dim) + 1j * rng.normal(size=dim)))
+    c = draw(st.one_of(st.none(), st.floats(0.05, 3.0)))
+    return hhl.HhlProblem(a, b / np.linalg.norm(b), n, t0=t0, c_const=c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectrum_problems())
+def test_validate_reads_the_spectrum_as_the_referee(p):
+    info = hhl.validate(p)
+    exact, populated, c, weights = helpers.spectrum_naive(p.a, p.b, p.n_register, p.t0, p.c_const)
+    assert info.exact == exact
+    assert list(info.populated) == populated
+    assert info.c == c
+    assert np.max(np.abs(np.abs(info.betas) ** 2 - weights)) < 1e-12

@@ -12,6 +12,8 @@ shape of one geometry, keep checking the width, and stay within its
 bound. No package module may build a Kronecker product, the dense gate
 path the kernel replaced, nor derive a gate or circuit by
 ``dataclasses.replace``, which looks its fields up again on every call.
+Only the three solve entry points may call ``hhl.validate``; everything
+else takes the ``ValidationInfo`` of their one call.
 """
 import ast
 import math
@@ -174,6 +176,23 @@ def test_no_module_calls_dataclasses_replace():
                 found.append(f"{path.name}:{node.lineno}")
     assert len(list(src.glob("*.py"))) > 5
     assert found == []
+
+
+def test_only_the_solve_entry_points_call_validate():
+    src = Path(cq.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                f = node.func if isinstance(node, ast.Call) else None
+                name = (f.attr if isinstance(f, ast.Attribute)
+                        else f.id if isinstance(f, ast.Name) else None)
+                if name == "validate":
+                    callers.add(f"{path.stem}.{fn.name}")
+    assert "hhl.run_hhl" in callers
+    assert callers <= {"hhl.run_hhl", "hhl.pipeline_circuit", "hhl.success_probability"}
 
 
 def test_run_does_not_allocate_dense_operators():
