@@ -13,7 +13,10 @@ measurement setting (Z, X, Y), heralds measured alongside the rotated
 output qubit, records failing the herald discarded. The gates before
 the circuit's first measurement run once per estimate; each setting
 samples only the rest, which gives the same histograms as sampling the
-whole circuit. Setting i draws from the stream keyed by 3*seed + i so
+whole circuit. The generic pipeline measures nothing, so after a
+:func:`run_hhl` solve its shots sample the state that solve held before
+its herald cut, and a noise sweep builds each input's layout once.
+Setting i draws from the stream keyed by 3*seed + i so
 the three settings are independent and every run is reproducible.
 """
 from __future__ import annotations
@@ -79,11 +82,7 @@ def pauli_expectation(state: np.ndarray, which: str) -> float:
 
 
 def pauli_expectations(state: np.ndarray) -> PauliExpectations:
-    return PauliExpectations(
-        z=pauli_expectation(state, "z"),
-        x=pauli_expectation(state, "x"),
-        y=pauli_expectation(state, "y"),
-    )
+    return PauliExpectations(*(pauli_expectation(state, which) for which in ("z", "x", "y")))
 
 
 def reconstruct_single_qubit(e: PauliExpectations) -> np.ndarray:
@@ -191,11 +190,10 @@ def reference_problem(b: np.ndarray) -> HhlProblem:
     return HhlProblem(a=c2.SYSTEM_MATRIX, b=b, n_register=2, c_const=1.0)
 
 
-def _noisy_output(mode: str, vec: np.ndarray, noise: qc.NoiseSpec,
-                  feedforward: str) -> tuple[np.ndarray, float]:
-    """Density-matrix run of one input, cut on the layout's heralds in order;
-    returns (output qubit rho, ancilla p conditional on any register cut)."""
-    circ, init, heralds, out_wire = _measurement_layout(mode, vec, feedforward)
+def _noisy_output(layout, noise: qc.NoiseSpec) -> tuple[np.ndarray, float]:
+    """Density-matrix run of a :func:`_measurement_layout`, cut on its heralds in
+    order; returns (output qubit rho, ancilla p conditional on any register cut)."""
+    circ, init, heralds, out_wire = layout
     rho = qc.run(circ, density(init), noise=noise).state
     for wire, outcome in heralds:
         rho, p = qc.post_select(rho, wire, outcome)
@@ -214,8 +212,11 @@ def _basis_ops(which: str, wire: int) -> list:
     return [qc.phase(wire, -math.pi / 2), qc.h(wire)]
 
 
-def _problem_layout(prob: HhlProblem):
-    return pipeline_circuit(prob), initial_state(prob), hhl.heralds(prob), 1 + prob.n_register
+def _output_wire(prob: HhlProblem) -> int:
+    """The solution qubit a shot readout measures; wider solutions have no Pauli triple."""
+    if prob.m_qubits != 1:
+        raise BadFlag("shot estimation reads a single output qubit")
+    return 1 + prob.n_register
 
 
 # the pipelines a report can run the reference instance through
@@ -231,14 +232,16 @@ def _check_modes(mode: str, feedforward: str) -> None:
         raise BadFlag("semiclassical feedforward applies to the compiled mode only")
 
 
-def _measurement_layout(mode: str, vec: np.ndarray, feedforward: str):
+def _measurement_layout(mode: str, input_b, feedforward: str):
     """Base circuit, initial state, herald list and output wire for sampling."""
     _check_modes(mode, feedforward)
+    vec = c2.resolve_input(input_b)[1]
     if mode == "compiled":
         cfg = c2.CompiledConfig(input_b=vec, feedforward=feedforward)
         circ = c2.build_compiled_circuit(cfg)
         return circ, c2.initial_state(cfg), c2.heralds(cfg), c2.INPUT
-    return _problem_layout(reference_problem(vec))
+    prob = reference_problem(vec)
+    return pipeline_circuit(prob), initial_state(prob), hhl.heralds(prob), 1 + prob.n_register
 
 
 def _readout(circ: qc.Circuit, init: np.ndarray) -> tuple[qc.Circuit, np.ndarray]:
@@ -248,9 +251,7 @@ def _readout(circ: qc.Circuit, init: np.ndarray) -> tuple[qc.Circuit, np.ndarray
     would apply it, so sampling the returned tail from the returned
     state gives the same histograms as sampling the whole circuit.
     """
-    split = next(
-        (i for i, op in enumerate(circ.ops) if not isinstance(op, qc.Gate)), len(circ.ops)
-    )
+    split = next((i for i, op in enumerate(circ.ops) if not isinstance(op, qc.Gate)), len(circ.ops))
     state = qc.run(qc.Circuit._of(circ.qubits, circ.ops[:split]), init).state
     return qc.Circuit._of(circ.qubits, circ.ops[split:]), state
 
@@ -271,21 +272,24 @@ def _sample_wires(tail: qc.Circuit, state: np.ndarray, ops: list, wires,
     return counts
 
 
-def _settings_estimates(circ, init, heralds, out_wire, shots: int, seed: int) -> ShotEstimates:
-    tail, state = _readout(circ, init)
-    wires = [q for q, _ in heralds] + [out_wire]
-    want = "".join(str(outcome) for _, outcome in heralds)
+def _tally(readout, ops: list, cut, wire: int, shots: int, seed: int) -> tuple[int, int]:
+    """Shots, sampled from a :func:`_readout` pair (tail, state) after ``ops``, that pass the
+    (wire, outcome) pairs of ``cut``, and how many of those read 1 on ``wire``. Raises
+    ZeroProbability when no shot passes."""
+    counts = _sample_wires(*readout, ops, [q for q, _ in cut] + [wire], shots, seed)
+    want = "".join(str(outcome) for _, outcome in cut)
+    kept = [(rec[-1], cnt) for rec, cnt in counts.items() if rec[:-1] == want]
+    if not kept:
+        raise ZeroProbability("no shot passed the heralding cut")
+    return sum(cnt for _, cnt in kept), sum(cnt for bit, cnt in kept if bit == "1")
+
+
+def _settings_estimates(readout, heralds, out_wire, shots: int, seed: int) -> ShotEstimates:
+    """Z, X and Y estimates of ``out_wire`` sampled from a :func:`_readout` pair (tail, state)."""
     by = {}
     for i, which in enumerate(_SETTINGS):
-        counts = _sample_wires(tail, state, _basis_ops(which, out_wire), wires, shots, 3 * seed + i)
-        n_acc = total = 0
-        for rec, cnt in counts.items():
-            if rec[:-1] == want:
-                n_acc += cnt
-                total += cnt if rec[-1] == "0" else -cnt
-        if n_acc == 0:
-            raise ZeroProbability("no shot passed the heralding cut")
-        value = total / n_acc
+        n_acc, ones = _tally(readout, _basis_ops(which, out_wire), heralds, out_wire, shots, 3 * seed + i)
+        value = (n_acc - 2 * ones) / n_acc
         stderr = math.sqrt(max(0.0, 1.0 - value * value) / n_acc)
         by[which] = ShotEstimate(value, stderr, n_acc)
     return ShotEstimates(shots=shots, **by)
@@ -294,9 +298,8 @@ def _settings_estimates(circ, init, heralds, out_wire, shots: int, seed: int) ->
 def shot_estimates(mode: str, input_b, shots: int, seed: int = 0,
                    feedforward: str = "unitary") -> ShotEstimates:
     """Shot-sampled Pauli expectations of the heralded output qubit."""
-    _, vec = c2.resolve_input(input_b)
-    circ, init, heralds, out_wire = _measurement_layout(mode, vec, feedforward)
-    return _settings_estimates(circ, init, heralds, out_wire, shots, seed)
+    circ, init, heralds, out_wire = _measurement_layout(mode, input_b, feedforward)
+    return _settings_estimates(_readout(circ, init), heralds, out_wire, shots, seed)
 
 
 def problem_shot_estimates(prob: HhlProblem, shots: int, seed: int = 0) -> ShotEstimates:
@@ -305,10 +308,16 @@ def problem_shot_estimates(prob: HhlProblem, shots: int, seed: int = 0) -> ShotE
     The output must be a single qubit; wider solutions have no Pauli
     triple to estimate.
     """
-    if prob.m_qubits != 1:
-        raise BadFlag("shot estimation reads a single output qubit")
-    circ, init, heralds, out_wire = _problem_layout(prob)
-    return _settings_estimates(circ, init, heralds, out_wire, shots, seed)
+    _output_wire(prob)  # a wider solution fails before the pipeline is built
+    state = qc.run(pipeline_circuit(prob), initial_state(prob)).state
+    return _final_state_estimates(prob, state, shots, seed)
+
+
+def _final_state_estimates(prob: HhlProblem, state: np.ndarray, shots: int, seed: int) -> ShotEstimates:
+    """Shot estimates sampled from the pipeline's output before its herald cut, such as
+    ``run_hhl(prob).pre_cut_state``; with no measurement in the pipeline, no tail is left."""
+    readout = qc.Circuit._of(prob.qubits, ()), state
+    return _settings_estimates(readout, hhl.heralds(prob), _output_wire(prob), shots, seed)
 
 
 @dataclass(frozen=True)
@@ -329,20 +338,9 @@ class SampledSuccess:
 def sampled_success(mode: str, input_b, shots: int, seed: int = 0,
                     feedforward: str = "unitary") -> SampledSuccess:
     """Heralding rate over seeded shots, conditional like the analytic value."""
-    _, vec = c2.resolve_input(input_b)
-    circ, init, heralds, _ = _measurement_layout(mode, vec, feedforward)
-    tail, state = _readout(circ, init)
-    counts = _sample_wires(tail, state, [], [q for q, _ in heralds], shots, 3 * seed)
+    circ, init, heralds, _ = _measurement_layout(mode, input_b, feedforward)
     # heralds end with the ancilla, the success event; the rest condition
-    cond = "".join(str(outcome) for _, outcome in heralds[:-1])
-    trials = successes = 0
-    for rec, cnt in counts.items():
-        if rec[:-1] == cond:
-            trials += cnt
-            if rec[-1] == "1":
-                successes += cnt
-    if trials == 0:
-        raise ZeroProbability("no shot passed the conditioning cut")
+    trials, successes = _tally(_readout(circ, init), [], heralds[:-1], heralds[-1][0], shots, 3 * seed)
     return SampledSuccess(successes / trials, successes, trials)
 
 
@@ -366,20 +364,19 @@ def build_pauli_report(mode: str = "generic", feedforward: str = "unitary",
     for input_b in inputs:
         name, vec = c2.resolve_input(input_b)
         x_cl = classical_solve(c2.SYSTEM_MATRIX, vec)
-        ideal = pauli_expectations(x_cl)
         if noise is not None:
-            rho_out, p = _noisy_output(mode, vec, noise, feedforward)
-            sim = pauli_expectations(rho_out)
-            fid = fidelity(x_cl, rho_out)
-        elif mode == "compiled":
-            res = c2.run_compiled(c2.CompiledConfig(input_b=vec, feedforward=feedforward),
-                                  seed=seed)
-            sim, fid, p = pauli_expectations(res.x_state), res.fidelity_vs_classical, res.success_probability
+            rho_out, p = _noisy_output(_measurement_layout(mode, vec, feedforward), noise)
+            sim, fid, est = pauli_expectations(rho_out), fidelity(x_cl, rho_out), None
         else:
-            res = run_hhl(reference_problem(vec))
+            if mode == "compiled":
+                res = c2.run_compiled(c2.CompiledConfig(input_b=vec, feedforward=feedforward), seed=seed)
+                est = shot_estimates(mode, vec, shots, seed, feedforward) if shots else None
+            else:
+                prob = reference_problem(vec)
+                res = run_hhl(prob)
+                est = _final_state_estimates(prob, res.pre_cut_state, shots, seed) if shots else None
             sim, fid, p = pauli_expectations(res.x_state), res.fidelity_vs_classical, res.success_probability
-        est = shot_estimates(mode, vec, shots, seed, feedforward) if shots else None
-        entries.append(PauliReportEntry(name, ideal, sim, p, fid, est))
+        entries.append(PauliReportEntry(name, pauli_expectations(x_cl), sim, p, fid, est))
     return PauliReport(
         mode=mode,
         feedforward=feedforward,
@@ -393,9 +390,10 @@ def noise_sweep(mode: str, p_list, feedforward: str = "unitary",
                 inputs=tuple(c2.INPUT_PRESETS)) -> list[tuple[float, str, float]]:
     """Rows of (depolarizing p, input name, solution fidelity), each fidelity
     as :func:`build_pauli_report` computes it under that noise spec."""
-    named = [(name, vec, classical_solve(c2.SYSTEM_MATRIX, vec)) for name, vec in map(c2.resolve_input, inputs)]
-    return [(float(p), name, fidelity(x_cl, _noisy_output(mode, vec, qc.NoiseSpec(float(p)), feedforward)[0]))
-            for p in p_list for name, vec, x_cl in named]
+    named = [(name, _measurement_layout(mode, vec, feedforward), classical_solve(c2.SYSTEM_MATRIX, vec))
+             for name, vec in map(c2.resolve_input, inputs)]
+    return [(float(p), name, fidelity(x_cl, _noisy_output(layout, qc.NoiseSpec(float(p)))[0]))
+            for p in p_list for name, layout, x_cl in named]
 
 
 def report_to_dict(r: PauliReport) -> dict:

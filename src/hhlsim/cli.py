@@ -36,16 +36,12 @@ SCHEMA_VERSION = "2"
 DEFAULT_SWEEP = "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5"
 
 
-def _twelve(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _round_floats(obj):
     """Round every float in a JSON-ready structure to 12 significant digits."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, (float, np.floating)):
-        return _twelve(float(obj))
+        return float(f"{float(obj):.12g}")
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, dict):
@@ -97,6 +93,8 @@ def cmd_solve(args) -> int:
     seed = _resolve_seed(args)
     problem = problem_from_dict({"matrix": _load_json(args.matrix), "vector": _load_json(args.vector),
                                  "register_bits": args.register_bits, "c_const": args.c_const})
+    if args.shots:
+        an._output_wire(problem)  # a system the shot readout cannot read fails before it is solved
     result = run_hhl(problem)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -115,7 +113,7 @@ def cmd_solve(args) -> int:
         "result": result_to_dict(result),
     }
     if args.shots:
-        est = an.problem_shot_estimates(problem, args.shots, seed)
+        est = an._final_state_estimates(problem, result.pre_cut_state, args.shots, seed)
         doc["result"]["shot_estimates"] = an.shot_estimates_to_dict(est)
     _emit_json(doc, args.out)
     return 0

@@ -123,11 +123,22 @@ class ValidationInfo:
 
 @dataclass(frozen=True)
 class HhlResult:
+    """A solve by :func:`run_hhl` or ``compiled2x2.run_compiled``, read by :func:`_heralded`.
+
+    ``x_state``: the normalized solution; ``fidelity_vs_classical``: its overlap with
+    :func:`classical_solve`. ``success_probability``: the ancilla's |1> weight, the
+    marginal for ``run_hhl`` and conditioned on the register cut for ``run_compiled``.
+    ``register_reset_ok``: the uncompute left the register on all-zeros. ``gate_count``:
+    the census of the circuits run, plus "entangling". ``pre_cut_state``: the whole
+    state just before the herald cut (after the semiclassical readout's measurements).
+    """
+
     x_state: np.ndarray
     success_probability: float
     fidelity_vs_classical: float
     register_reset_ok: bool
     gate_count: dict[str, int]
+    pre_cut_state: np.ndarray
 
 
 def _scaled(v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -329,6 +340,32 @@ def _stages(p: HhlProblem, info: ValidationInfo) -> tuple[qc.Circuit, qc.Circuit
     return pe, reciprocal_rotation_circuit(p, info), pe.inverse()
 
 
+def _heralded(state: np.ndarray, cut, fixed, a, b, circuits, reset_ok) -> HhlResult:
+    """The one readout of both solvers: post-select ``state`` on the (wire, outcome)
+    pairs of ``cut`` in order, the last giving the success probability, and read x
+    with each wire of ``fixed`` at its bit. The fidelity is taken against the
+    solution of a x = b, ``reset_ok(kept state)`` is the register verdict, and the
+    census sums those of ``circuits``."""
+    kept = state
+    for wire, outcome in cut:
+        kept, p_success = qc.post_select(kept, wire, outcome)
+    x = qc._bit_view(kept, fixed).reshape(-1)
+    norm = np.linalg.norm(x)
+    if norm < 1e-14:
+        raise ZeroProbability("the heralded solution has vanishing norm")
+    x = x / norm
+
+    # the censuses concatenated, in first-seen key order
+    census: dict[str, int] = {}
+    for circ in circuits:
+        for key, count in circ.gate_census().items():
+            census[key] = census.get(key, 0) + count
+    census["entangling"] = sum(circ.entangling_count() for circ in circuits)
+
+    fid = state_fidelity(classical_solve(a, b), x)
+    return HhlResult(x, p_success, fid, reset_ok(kept), census, state)
+
+
 def run_hhl(p: HhlProblem) -> HhlResult:
     """Execute the full pipeline and post-select the ancilla on |1>.
 
@@ -348,26 +385,8 @@ def run_hhl(p: HhlProblem) -> HhlResult:
         raise Singular("phase estimation put weight on register value zero")
     state = qc.run(rot, state).state
     state = qc.run(inv, state).state
-
-    state, p_success = qc.post_select(state, 0, 1)
-    residual = 1.0 - qc._weight(state, register_zero)
-    register_reset_ok = residual < 1e-10
-
-    x = qc._bit_view(state, dict(heralds(p))).reshape(-1)
-    norm = np.linalg.norm(x)
-    if norm < 1e-14:
-        raise ZeroProbability("projection of the register on all-zeros has vanishing norm")
-    x = x / norm
-
-    # the census of the three stages concatenated, in first-seen key order
-    census: dict[str, int] = {}
-    for stage in (pe, rot, inv):
-        for key, count in stage.gate_census().items():
-            census[key] = census.get(key, 0) + count
-    census["entangling"] = sum(stage.entangling_count() for stage in (pe, rot, inv))
-
-    fid = state_fidelity(classical_solve(p.a, p.b), x)
-    return HhlResult(x, p_success, fid, register_reset_ok, census)
+    return _heralded(state, [(0, 1)], dict(heralds(p)), p.a, p.b, (pe, rot, inv),
+                     lambda kept: 1.0 - qc._weight(kept, register_zero) < 1e-10)
 
 
 def pipeline_circuit(p: HhlProblem) -> qc.Circuit:

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhlsim import cli
+from hhlsim import circuit as cq
+from hhlsim import cli, hhl
 
 A_REF = [[1.5, 0.5], [0.5, 1.5]]
 
@@ -73,6 +74,58 @@ def test_solve_with_shots(tmp_path, capsys):
         block = est[key]
         assert abs(block["value"] - want) <= 4 * block["stderr"] + 1e-9
         assert 0 < block["accepted"] <= 2000
+
+
+def test_solve_shots_rejects_a_wide_system_before_solving(tmp_path, capsys, monkeypatch):
+    def solve(problem):
+        raise AssertionError("the system was solved before its shots were refused")
+
+    monkeypatch.setattr(cli, "run_hhl", solve)
+    m, v = write_problem(tmp_path, matrix=np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), vector=(1.0, 0.0, 0.0, 0.0))
+    argv = ["solve", "--matrix", m, "--vector", v, "--register-bits", "10", "--shots", "100"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: shot estimation reads a single output qubit\n"
+    # a malformed file still reports its own error
+    Path(m).write_text("[[1, 0], [0]]")
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2 and "differ in length" in err
+
+
+def _command_counts(monkeypatch, capsys, argv) -> dict[str, int]:
+    """``validate`` calls and gates run by ``circuit.run`` during one in-process command."""
+    counts = {"validate": 0, "gates": 0}
+    validate, run = hhl.validate, cq.run
+
+    def counted_validate(p):
+        counts["validate"] += 1
+        return validate(p)
+
+    def counted_run(c, *args, **kwargs):
+        counts["gates"] += sum(1 for op in c.ops if not isinstance(op, cq.Measure))
+        return run(c, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hhl, "validate", counted_validate)
+        patch.setattr(cq, "run", counted_run)
+        code, _, err = run_cli(capsys, argv)
+    assert code == 0, err
+    return counts
+
+
+def test_each_command_runs_a_pipeline_once_per_problem(tmp_path, capsys, monkeypatch):
+    # the shot readout samples the state the solve already holds, so shots
+    # add no validation and no gate run to the exact solve
+    m, v = write_problem(tmp_path)
+    solve = ["solve", "--matrix", m, "--vector", v, "--register-bits", "4"]
+    assert _command_counts(monkeypatch, capsys, solve) == {"validate": 1, "gates": 111}
+    assert _command_counts(monkeypatch, capsys, [*solve, "--shots", "1000"]) == {"validate": 1, "gates": 111}
+    # three inputs, each a 2-bit solve of 23 gates
+    paper = ["paper", "--mode", "generic", "--shots", "1000"]
+    assert _command_counts(monkeypatch, capsys, paper) == {"validate": 3, "gates": 69}
+    # one layout per input, run under each of the 11 default noise levels
+    sweep = _command_counts(monkeypatch, capsys, ["noise-sweep", "--mode", "generic"])
+    assert sweep == {"validate": 3, "gates": 3 * 11 * 23}
 
 
 def test_solve_out_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 from hhlsim import circuit as cq
-from hhlsim import hhl, qstate
+from hhlsim import analysis, hhl, qstate
 from hhlsim.errors import (
     DimensionMismatch,
     InvalidC,
@@ -16,6 +16,7 @@ from hhlsim.errors import (
     NotNormalized,
     NotPositiveDefinite,
     Singular,
+    ZeroProbability,
 )
 
 A_REF = np.array([[1.5, 0.5], [0.5, 1.5]])
@@ -455,3 +456,26 @@ def test_validate_reads_the_spectrum_as_the_referee(p):
     assert list(info.populated) == populated
     assert info.c == c
     assert np.max(np.abs(np.abs(info.betas) ** 2 - weights)) < 1e-12
+
+
+@pytest.mark.parametrize("bits, c_const", [(1, None), (3, 1.0), (5, None), (6, 1.0)])
+def test_pre_cut_state_is_the_shot_readout_state(bits, c_const):
+    # the shot readout samples this state in place of running the pipeline again
+    for b in (B3, np.array([0.6, 0.8])):
+        p = hhl.HhlProblem(A_REF, b, bits, c_const=c_const)
+        tail, state = analysis._readout(hhl.pipeline_circuit(p), hhl.initial_state(p))
+        assert tail.ops == ()
+        assert np.array_equal(hhl.run_hhl(p).pre_cut_state, state)
+
+
+def test_heralded_readout_refuses_a_vanishing_solution():
+    # ancilla (wire 0) on |1>, wire 1 on |1>: reading x with wire 1 held at 0 finds nothing
+    state = np.zeros(8, dtype=complex)
+    state[0b011] = 1.0
+    with pytest.raises(ZeroProbability, match="vanishing norm"):
+        hhl._heralded(state, [(0, 1)], {0: 1, 1: 0}, np.eye(2), np.array([1.0, 0.0]), (),
+                      lambda kept: True)
+    res = hhl._heralded(state, [(0, 1)], {0: 1, 1: 1}, np.eye(2), np.array([1.0, 0.0]), (),
+                        lambda kept: True)
+    assert res.success_probability == 1.0 and res.fidelity_vs_classical == 1.0
+    assert res.pre_cut_state is state and res.gate_count == {"entangling": 0}

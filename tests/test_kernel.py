@@ -13,7 +13,8 @@ bound. No package module may build a Kronecker product, the dense gate
 path the kernel replaced, nor derive a gate or circuit by
 ``dataclasses.replace``, which looks its fields up again on every call.
 Only the three solve entry points may call ``hhl.validate``; everything
-else takes the ``ValidationInfo`` of their one call.
+else takes the ``ValidationInfo`` of their one call. Both solvers read
+their result through the one heralded readout, ``hhl._heralded``.
 """
 import ast
 import math
@@ -193,6 +194,23 @@ def test_only_the_solve_entry_points_call_validate():
                     callers.add(f"{path.stem}.{fn.name}")
     assert "hhl.run_hhl" in callers
     assert callers <= {"hhl.run_hhl", "hhl.pipeline_circuit", "hhl.success_probability"}
+
+
+def test_both_solvers_read_through_the_one_heralded_readout():
+    src = Path(cq.__file__).parent
+    calls: dict[str, set[str]] = {}
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = calls.setdefault(f"{path.stem}.{fn.name}", set())
+                for node in ast.walk(fn):
+                    f = node.func if isinstance(node, ast.Call) else None
+                    called.add(f.attr if isinstance(f, ast.Attribute)
+                               else f.id if isinstance(f, ast.Name) else None)
+    assert {"post_select", "state_fidelity"} <= calls["hhl._heralded"]
+    for solver in ("hhl.run_hhl", "compiled2x2.run_compiled"):
+        assert "_heralded" in calls[solver]
+        assert calls[solver] & {"post_select", "state_fidelity"} == set(), solver
 
 
 def test_run_does_not_allocate_dense_operators():
