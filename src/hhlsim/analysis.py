@@ -245,13 +245,15 @@ def _measurement_layout(mode: str, input_b, feedforward: str):
 
 
 def _readout(circ: qc.Circuit, init: np.ndarray) -> tuple[qc.Circuit, np.ndarray]:
-    """Run the gates before the first measurement; return the rest and the state.
+    """Run the unitary ops before the first measurement; return the rest and the state.
 
     The prefix is applied exactly as :func:`circuit.enumerate_branches`
     would apply it, so sampling the returned tail from the returned
-    state gives the same histograms as sampling the whole circuit.
+    state gives the same histograms as sampling the whole circuit. A
+    conditional gate reads a slot some measurement wrote before it, so
+    none comes first.
     """
-    split = next((i for i, op in enumerate(circ.ops) if not isinstance(op, qc.Gate)), len(circ.ops))
+    split = next((i for i, op in enumerate(circ.ops) if isinstance(op, qc.Measure)), len(circ.ops))
     state = qc.run(qc.Circuit._of(circ.qubits, circ.ops[:split]), init).state
     return qc.Circuit._of(circ.qubits, circ.ops[split:]), state
 

@@ -8,6 +8,14 @@ gate may recur. The stock gates are one table, and complex arrays go to
 and from JSON through one codec, :func:`complex_to_json` and
 :func:`complex_from_json`.
 
+A circuit's ops are of four kinds: a :class:`Gate`, a
+:class:`Multiplexor` (a uniformly controlled one-qubit gate, one gate
+per control value), a :class:`Measure` and a :class:`ConditionalGate`.
+A multiplexor stands for its textbook expansion, X flips around one
+fully controlled gate per value: its census, entangling count, JSON
+form and inverse are the expansion's, the census worked out without
+building it.
+
 Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
 target axes, with controls taken as index views, so a k-qubit gate
@@ -19,10 +27,15 @@ What the kernel derives from a gate's geometry alone (the array shape,
 the axis, the targets and the controls) is worked out once per geometry
 by :func:`_plan` and kept in a cache of at most _PLAN_CACHE_SIZE
 entries; circuits repeat a few dozen geometries over thousands of gates.
+A multiplexor on a statevector (or on the identity, for the unitary)
+takes one pass, :func:`_multiplex`, with the products the kernel would
+take on its expansion, so the two agree bit for bit.
 The statevector backend handles pure states; the density-matrix backend
 applies the same kernel to the rows and then to the columns, and
-additionally applies depolarizing noise after gate applications. At
-zero noise they agree to 1e-10, which the self test exercises.
+additionally applies depolarizing noise after gate applications. It
+walks a multiplexor's expansion, noisy or not, since noise is defined
+per textbook gate. At zero noise the backends agree to 1e-10, which the
+self test exercises.
 
 One op walker, :func:`_walk`, executes every circuit on either backend,
 with measurements and classically conditioned gates. At a measurement
@@ -211,6 +224,68 @@ def cnot(control: int, target: int) -> Gate:
     return controlled(x(target), control)
 
 
+@dataclass(frozen=True)
+class Multiplexor:
+    """A uniformly controlled one-qubit gate: each control value picks the gate on ``target``.
+
+    ``cases`` pairs control values, ascending, with uncontrolled one-qubit
+    gates on ``target``; bit i of a value is carried by ``controls[i]``,
+    and a value without a case gets the identity. This is the multiplexor
+    of Shende, Bullock and Markov (quant-ph/0406176). :meth:`expand`
+    gives the textbook ops, which the JSON form and the density-matrix
+    backend use; the statevector kernel applies every case in one pass.
+    """
+
+    target: int
+    controls: tuple[int, ...]
+    cases: tuple[tuple[int, Gate], ...]
+
+    def __post_init__(self):
+        qubits = self.targets + self.controls
+        if not self.controls or len(set(qubits)) != len(qubits) or min(qubits) < 0:
+            raise BadIndex(f"a multiplexor needs distinct non-negative wires and a control: {qubits}")
+        values = [k for k, _ in self.cases]
+        if values and not 0 <= values[0] <= values[-1] < 1 << len(self.controls) \
+                or any(b <= a for a, b in zip(values, values[1:])):
+            raise BadIndex(f"multiplexor values must ascend within {len(self.controls)} control bits")
+        if any(g.targets != self.targets or g.controls for _, g in self.cases):
+            raise BadIndex(f"each multiplexor case must be an uncontrolled gate on qubit {self.target}")
+
+    @property
+    def targets(self) -> tuple[int]:
+        return (self.target,)
+
+    def expand(self) -> list[Gate]:
+        """For each value: an X on each control whose bit is 0, the case gate controlled by
+        every control, and the same X again. The X of one wire is one shared gate."""
+        flip = [x(q) for q in self.controls]
+        ops: list[Gate] = []
+        for k, g in self.cases:
+            flips = [f for i, f in enumerate(flip) if not (k >> i) & 1]
+            ops += flips
+            ops.append(controlled(g, *self.controls))
+            ops += flips
+        return ops
+
+    def census(self) -> dict[str, int]:
+        """The census of :meth:`expand`, in its key order, without building it.
+
+        Two X per zero bit of each value, and one controlled gate per case.
+        Values ascend, so an X comes first unless the one case is the
+        all-ones value, which needs none.
+        """
+        c = len(self.controls)
+        flips = 2 * sum(c - k.bit_count() for k, _ in self.cases)
+        counts = {"x": flips} if flips else {}
+        for _, g in self.cases:
+            key = "c" * c + g.name
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    def dagger(self) -> "Multiplexor":
+        return Multiplexor(self.target, self.controls, tuple((k, g.dagger()) for k, g in self.cases))
+
+
 # stock gates by name: constructor, target count and angle names, from which
 # they are rebuilt; any other gate serializes its matrix explicitly
 _STOCK = {
@@ -221,7 +296,7 @@ _STOCK = {
 
 @dataclass(frozen=True)
 class Circuit:
-    """Fixed-width op sequence. Ops are gates, measurements or conditionals."""
+    """Fixed-width op sequence. Ops are gates, multiplexors, measurements or conditionals."""
 
     qubits: int
     ops: tuple = ()
@@ -230,7 +305,7 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         written: set[int] = set()
         for op in self.ops:
-            if isinstance(op, Gate):
+            if isinstance(op, (Gate, Multiplexor)):
                 self._check_gate(op)
             elif isinstance(op, Measure):
                 if not 0 <= op.qubit < self.qubits:
@@ -250,7 +325,7 @@ class Circuit:
         c.__dict__.update(qubits=qubits, ops=ops)
         return c
 
-    def _check_gate(self, g: Gate) -> None:
+    def _check_gate(self, g: Gate | Multiplexor) -> None:
         for q in g.targets + g.controls:
             if not 0 <= q < self.qubits:
                 raise BadIndex(f"qubit {q} out of range for {self.qubits}-qubit circuit")
@@ -262,7 +337,7 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         """Reverse the op order and invert each gate. Unitary ops only."""
-        if not all(isinstance(op, Gate) for op in self.ops):
+        if not all(isinstance(op, (Gate, Multiplexor)) for op in self.ops):
             raise BadIndex("cannot invert a circuit containing measurements")
         return Circuit._of(self.qubits, tuple(op.dagger() for op in reversed(self.ops)))
 
@@ -270,29 +345,37 @@ class Circuit:
         """Full 2**q unitary of a measurement-free circuit."""
         u = np.eye(1 << self.qubits, dtype=complex)
         for op in self.ops:
-            if not isinstance(op, Gate):
+            if not isinstance(op, (Gate, Multiplexor)):
                 raise BadIndex("circuit with measurements has no single unitary")
             u = _apply(u, op)
         return u
 
     def gate_census(self) -> dict[str, int]:
-        """Op counts keyed by gate kind, with controls shown as a 'c' prefix."""
+        """Op counts keyed by gate kind, with controls shown as a 'c' prefix; a
+        multiplexor counts as its expansion."""
         counts: dict[str, int] = {}
         for op in self.ops:
-            if isinstance(op, Gate):
-                key = op.census_key()
+            if isinstance(op, Multiplexor):
+                items = op.census().items()
+            elif isinstance(op, Gate):
+                items = ((op.census_key(), 1),)
             elif isinstance(op, Measure):
-                key = "measure"
+                items = (("measure", 1),)
             else:
-                key = "if_" + op.gate.census_key()
-            counts[key] = counts.get(key, 0) + 1
+                items = (("if_" + op.gate.census_key(), 1),)
+            for key, n in items:
+                counts[key] = counts.get(key, 0) + n
         return counts
 
     def entangling_count(self) -> int:
-        return sum(1 for op in self.ops if isinstance(op, Gate) and op.entangling)
+        """Entangling gates; a multiplexor's expansion has one per case."""
+        return sum(len(op.cases) if isinstance(op, Multiplexor) else isinstance(op, Gate) and op.entangling
+                   for op in self.ops)
 
     def to_json_dict(self) -> dict:
-        return {"qubits": self.qubits, "ops": [_op_to_dict(op) for op in self.ops]}
+        """The ops in JSON form, each multiplexor as its expansion."""
+        ops = (e for op in self.ops for e in (op.expand() if isinstance(op, Multiplexor) else (op,)))
+        return {"qubits": self.qubits, "ops": [_op_to_dict(op) for op in ops]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -428,8 +511,11 @@ def _apply(block: np.ndarray, g: Gate, matrix: np.ndarray | None = None, axis: i
     Everything derived from the geometry alone, the width check
     included, comes from :func:`_plan`, cached on ``(block.shape, axis,
     g.targets, g.controls)`` for at most _PLAN_CACHE_SIZE geometries;
-    the matrix is never part of the key.
+    the matrix is never part of the key. A :class:`Multiplexor` goes to
+    :func:`_multiplex` (``axis=0`` only).
     """
+    if isinstance(g, Multiplexor):
+        return _multiplex(block, g)
     m = g.matrix if matrix is None else matrix
     split, perm, index, reorder = _plan(block.shape, axis, g.targets, g.controls)
     t = block.reshape(split)
@@ -439,6 +525,28 @@ def _apply(block: np.ndarray, g: Gate, matrix: np.ndarray | None = None, axis: i
     view = t.transpose(perm)[index]
     view[...] = np.dot(m, view.reshape(m.shape[0], -1)).reshape(view.shape)
     return t.reshape(block.shape)
+
+
+def _multiplex(block: np.ndarray, op: Multiplexor) -> np.ndarray:
+    """Apply a multiplexor to the qubit index (axis 0) of a 1-d or 2-d array in one pass.
+
+    The array is copied once into one contiguous (2, rest) block per
+    control value, in value order. Each case's matrix multiplies its
+    block exactly as :func:`_apply` multiplies the view of a gate whose
+    controls read that value, the same product on the same layout, so
+    the result equals the expansion's bit for bit. Then every block is
+    written back, those without a case unchanged.
+    """
+    split, perm, _, _ = _plan(block.shape, 0, op.targets, op.controls)
+    c = len(op.controls)
+    s = block.reshape(split)
+    # the control axes first, controls[0] last: the leading index is the value
+    t = s.transpose(perm[:-c - 1:-1] + perm[:-c])
+    by_value = t.reshape(1 << c, 2, -1)
+    for k, g in op.cases:
+        by_value[k] = np.dot(g.matrix, by_value[k])
+    t[...] = by_value.reshape(t.shape)
+    return s.reshape(block.shape)
 
 
 def _bit_view(arr: np.ndarray, fixed: dict[int, int]) -> np.ndarray:
@@ -551,7 +659,7 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
         pos, state, prob, classical, record = stack.pop()
         for i in range(pos, len(c.ops)):
             op = c.ops[i]
-            if isinstance(op, Gate):
+            if isinstance(op, (Gate, Multiplexor)):
                 state = touch(state, op)
             elif isinstance(op, Measure):
                 weights = (_weight(state, {op.qubit: 0}), _weight(state, {op.qubit: 1}))
@@ -590,7 +698,12 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
         if state.shape != (1 << c.qubits, 1 << c.qubits):
             raise DimensionMismatch(f"density matrix shape {state.shape} does not match circuit")
 
-        def touch(rho: np.ndarray, g: Gate) -> np.ndarray:
+        def touch(rho: np.ndarray, g: Gate | Multiplexor) -> np.ndarray:
+            if isinstance(g, Multiplexor):
+                # noise is defined per textbook gate, so walk the expansion
+                for e in g.expand():
+                    rho = touch(rho, e)
+                return rho
             # U on the row index, conj(U) on the column index: U rho U^dagger
             rho = _apply(rho, g)
             rho = _apply(rho, g, g.matrix.conj(), axis=1)

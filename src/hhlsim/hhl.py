@@ -38,11 +38,9 @@ TWO_PI = 2.0 * math.pi
 # eigenvector weight below which a register value counts as unpopulated
 POPULATED_ATOL = 1e-12
 
-# widest eigenvalue register accepted. A solve costs about 4x per extra
-# bit (state and rotation circuit both double): a 2x2 solve took ~24 s at
-# 13 bits on one Xeon core, and 30 bits on a 2x2 system would need a 64 GiB
-# statevector.
-MAX_REGISTER_BITS = 13
+# widest state a solve may hold: 1 + n + m qubits, 2**20 amplitudes or
+# 16 MiB, so a wide matrix counts as much as a wide register
+MAX_STATE_QUBITS = 20
 
 
 @dataclass(frozen=True)
@@ -68,9 +66,14 @@ class HhlProblem:
         object.__setattr__(self, "b", np.asarray(self.b, dtype=complex))
         if self.n_register < 1:
             raise DimensionMismatch(f"need at least one register qubit, got {self.n_register}")
-        if self.n_register > MAX_REGISTER_BITS:
+        # a matrix whose side is no power of two, which the solve refuses,
+        # counts as wide as the power of two above it
+        side = self.a.shape[0] if self.a.ndim == 2 and self.a.shape[0] > 0 else 1
+        width = 1 + self.n_register + (side - 1).bit_length()
+        if width > MAX_STATE_QUBITS:
             raise DimensionMismatch(
-                f"at most {MAX_REGISTER_BITS} register qubits are supported, got {self.n_register}"
+                f"{self.n_register} register qubits make a {width}-qubit state; at most "
+                f"{MAX_STATE_QUBITS} qubits (2**{MAX_STATE_QUBITS} amplitudes) are supported"
             )
         if not 0 < self.t0 < math.inf:
             raise DimensionMismatch(f"t0 must be positive and finite, got {self.t0}")
@@ -254,24 +257,19 @@ def _rotation_amplitudes(p: HhlProblem, info: ValidationInfo) -> dict[int, float
 
 
 def reciprocal_rotation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circuit:
-    """Register-value-conditioned ancilla rotations toward |1>.
+    """Register-value-conditioned ancilla rotations toward |1>, as one multiplexor.
 
     Register value k gets the reflection by theta(k) = arcsin(s(k)) / 2,
     which puts amplitude s(k) = C/lambda on the ancilla's |1>, for each
-    value :func:`_rotation_amplitudes` rotates; the others get no gate.
-    ``info`` is the result of :func:`validate` on ``p``.
+    value :func:`_rotation_amplitudes` rotates; the others keep the
+    identity. Its expansion is the textbook circuit: per value, an
+    h_theta controlled by every register wire, inside X flips of the
+    wires whose bit of k is 0. ``info`` is the result of :func:`validate`
+    on ``p``.
     """
-    n = p.n_register
-    regs = p.register_qubits()
-    flip = [qc.x(q) for q in regs]
-    ops: list = []
-    for k, amp in _rotation_amplitudes(p, info).items():
-        theta = 0.5 * math.asin(amp)
-        flips = [flip[i] for i in range(n) if not (k >> i) & 1]
-        ops.extend(flips)
-        ops.append(qc.controlled(qc.h_theta(0, theta), *regs))
-        ops.extend(flips)
-    return qc.Circuit(p.qubits, ops)
+    cases = tuple((k, qc.h_theta(0, 0.5 * math.asin(amp)))
+                  for k, amp in _rotation_amplitudes(p, info).items())
+    return qc.Circuit(p.qubits, [qc.Multiplexor(0, p.register_qubits(), cases)])
 
 
 def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -828,3 +828,66 @@ def test_a_non_finite_input_is_refused_before_any_gate(bad, monkeypatch):
         ):
             with pytest.raises(ZeroProbability, match="non-finite"):
                 call()
+
+
+@st.composite
+def multiplexors(draw):
+    """(width, multiplexor, rng): 1-6 controls and a target on random wires of
+    up to 7 qubits, and random 2x2 unitaries on a random subset of the values."""
+    c = draw(st.integers(1, 6))
+    n = draw(st.integers(c + 1, 7))
+    wires = draw(st.permutations(range(n)))
+    values = sorted(draw(st.sets(st.integers(0, (1 << c) - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cases = tuple((k, cq.unitary(random_1q(rng), [wires[0]])) for k in values)
+    return n, cq.Multiplexor(wires[0], tuple(wires[1:c + 1]), cases), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(multiplexors())
+def test_multiplexor_is_its_expansion(case):
+    n, mux, rng = case
+    one, expanded = cq.Circuit(n, [mux]), cq.Circuit(n, mux.expand())
+    psi = random_state(rng, n)
+    assert np.max(np.abs(cq.run(one, psi).state - cq.run(expanded, psi).state)) < 1e-12
+    assert np.array_equal(one.unitary_matrix(), expanded.unitary_matrix())
+    assert one.to_json_dict() == expanded.to_json_dict()
+    assert list(one.gate_census().items()) == list(expanded.gate_census().items())
+    assert one.entangling_count() == expanded.entangling_count()
+    undone = one.then(one.inverse()).unitary_matrix()
+    assert np.max(np.abs(undone - np.eye(1 << n))) < 1e-12
+
+
+def test_multiplexor_validation():
+    g = cq.h(0)
+    cq.Multiplexor(0, (2, 1), ((0, g), (3, g)))
+    for target, controls, cases in [
+        (0, (), ()),                              # no control
+        (0, (1, 1), ()),                          # repeated wire
+        (0, (1, 0), ()),                          # target among the controls
+        (0, (-1,), ()),                           # negative wire
+        (0, (1,), ((1, g), (0, g))),              # values out of order
+        (0, (1,), ((0, g), (0, g))),              # a repeated value
+        (0, (1,), ((2, g),)),                     # a value past the control bits
+        (0, (1,), ((0, cq.h(2)),)),               # a case on another wire
+        (0, (1,), ((0, cq.cnot(2, 0)),)),         # a controlled case
+    ]:
+        with pytest.raises(BadIndex):
+            cq.Multiplexor(target, controls, cases)
+    with pytest.raises(BadIndex):
+        cq.Circuit(2, [cq.Multiplexor(0, (2,), ((1, g),))])
+    # the inverse daggers each case
+    mux = cq.Multiplexor(1, (0,), ((1, cq.phase(1, 0.4)),))
+    assert cq.Circuit(2, [mux]).inverse().ops[0].cases[0][1] == cq.phase(1, -0.4)
+
+
+def test_density_matrix_backend_walks_the_expansion():
+    # noise is defined per textbook gate, so the noisy run of a multiplexor
+    # is that of its expansion bit for bit
+    rng = np.random.default_rng(21)
+    mux = cq.Multiplexor(0, (1, 3), tuple((k, cq.unitary(random_1q(rng), [0])) for k in (0, 2, 3)))
+    psi = random_state(rng, 4)
+    for noise in (cq.NoiseSpec(0.0), cq.NoiseSpec(0.05), cq.NoiseSpec(0.05, "entangling-only")):
+        got = cq.run(cq.Circuit(4, [cq.h(2), mux]), psi, noise=noise).state
+        want = cq.run(cq.Circuit(4, [cq.h(2), *mux.expand()]), psi, noise=noise).state
+        assert np.array_equal(got, want)

@@ -115,17 +115,18 @@ def _command_counts(monkeypatch, capsys, argv) -> dict[str, int]:
 
 def test_each_command_runs_a_pipeline_once_per_problem(tmp_path, capsys, monkeypatch):
     # the shot readout samples the state the solve already holds, so shots
-    # add no validation and no gate run to the exact solve
+    # add no validation and no gate run to the exact solve; the reciprocal
+    # rotation counts as one op, its multiplexor
     m, v = write_problem(tmp_path)
     solve = ["solve", "--matrix", m, "--vector", v, "--register-bits", "4"]
-    assert _command_counts(monkeypatch, capsys, solve) == {"validate": 1, "gates": 111}
-    assert _command_counts(monkeypatch, capsys, [*solve, "--shots", "1000"]) == {"validate": 1, "gates": 111}
-    # three inputs, each a 2-bit solve of 23 gates
+    assert _command_counts(monkeypatch, capsys, solve) == {"validate": 1, "gates": 41}
+    assert _command_counts(monkeypatch, capsys, [*solve, "--shots", "1000"]) == {"validate": 1, "gates": 41}
+    # three inputs, each a 2-bit solve of 17 ops
     paper = ["paper", "--mode", "generic", "--shots", "1000"]
-    assert _command_counts(monkeypatch, capsys, paper) == {"validate": 3, "gates": 69}
+    assert _command_counts(monkeypatch, capsys, paper) == {"validate": 3, "gates": 51}
     # one layout per input, run under each of the 11 default noise levels
     sweep = _command_counts(monkeypatch, capsys, ["noise-sweep", "--mode", "generic"])
-    assert sweep == {"validate": 3, "gates": 3 * 11 * 23}
+    assert sweep == {"validate": 3, "gates": 3 * 11 * 17}
 
 
 def test_solve_out_file(tmp_path, capsys):

@@ -32,8 +32,19 @@ def ref_problem(b, **kw):
 def test_problem_validation():
     with pytest.raises(DimensionMismatch):
         hhl.HhlProblem(A_REF, B3, 0)
-    with pytest.raises(DimensionMismatch):
-        hhl.HhlProblem(A_REF, B3, hhl.MAX_REGISTER_BITS + 1)
+    # the state holds 1 + n + m qubits, at most MAX_STATE_QUBITS = 20: one
+    # past it is refused, and a wide matrix counts as much as a wide register
+    assert hhl.HhlProblem(A_REF, B3, 18).qubits == 20
+    with pytest.raises(DimensionMismatch, match="19 register qubits make a 21-qubit state"):
+        hhl.HhlProblem(A_REF, B3, hhl.MAX_STATE_QUBITS - 1)
+    assert hhl.HhlProblem(np.eye(4), np.eye(4)[0], 17).qubits == 20
+    with pytest.raises(DimensionMismatch, match="21-qubit state"):
+        hhl.HhlProblem(np.eye(4), np.eye(4)[0], 18)
+    # every system of up to 64 unknowns fits at 13 bits, the former cap
+    assert hhl.HhlProblem(np.eye(64), np.eye(64)[0], 13).qubits == 20
+    # a side that is no power of two counts as the next power of two
+    with pytest.raises(DimensionMismatch, match="21-qubit state"):
+        hhl.HhlProblem(np.eye(3), np.eye(3)[0], 18)
     with pytest.raises(DimensionMismatch):
         hhl.HhlProblem(A_REF, B3, 2, t0=-1.0)
     with pytest.raises(InvalidC):
@@ -258,6 +269,18 @@ def test_run_hhl_at_twelve_qubits():
     assert res.register_reset_ok
 
 
+@pytest.mark.parametrize("bits", [14, 16])
+def test_run_hhl_past_the_old_register_cap(bits):
+    # 16 and 18 qubits: the rotation is one multiplexor, so these run in seconds
+    p = hhl.HhlProblem(A_REF, B3, bits)
+    res = hhl.run_hhl(p)
+    x_want, p_want = helpers.analytic_hhl(A_REF, B3)
+    phase = np.vdot(res.x_state, x_want)
+    assert np.max(np.abs(res.x_state * phase / abs(phase) - x_want)) < 1e-10
+    assert abs(res.success_probability - p_want) < 1e-10
+    assert res.register_reset_ok
+
+
 def test_custom_t0_rescales_register():
     # doubling t0 doubles the register image of each eigenvalue
     p = hhl.HhlProblem(A_REF, B3, 3, t0=2 * hhl.TWO_PI)
@@ -389,7 +412,9 @@ def test_reciprocal_rotation_is_the_plain_expansion():
     problems += [hhl.HhlProblem(*helpers.random_exact_problem(rng, 4, n), n) for n in range(3, 6)]
     for p in problems:
         info = hhl.validate(p)
-        ops = hhl.reciprocal_rotation_circuit(p, info).ops
+        rot = hhl.reciprocal_rotation_circuit(p, info)
+        (mux,) = rot.ops
+        ops = mux.expand()
         want = helpers.reciprocal_rotation_naive(p.n_register, hhl._rotation_amplitudes(p, info))
         assert len(ops) == len(want)
         for op, (name, targets, controls, params, matrix) in zip(ops, want):
@@ -397,6 +422,9 @@ def test_reciprocal_rotation_is_the_plain_expansion():
             assert np.array_equal(op.matrix, matrix)
         # the flips of one wire are one shared gate
         assert len({id(op) for op in ops if op.name == "x"}) <= p.n_register
+        # the one-pass kernel gives the expansion's state bit for bit
+        state = cq.run(hhl.phase_estimation_circuit(p, info), hhl.initial_state(p)).state
+        assert np.array_equal(cq.run(rot, state).state, cq.run(cq.Circuit(p.qubits, ops), state).state)
 
 
 @pytest.mark.filterwarnings("error")

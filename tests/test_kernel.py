@@ -14,7 +14,9 @@ path the kernel replaced, nor derive a gate or circuit by
 ``dataclasses.replace``, which looks its fields up again on every call.
 Only the three solve entry points may call ``hhl.validate``; everything
 else takes the ``ValidationInfo`` of their one call. Both solvers read
-their result through the one heralded readout, ``hhl._heralded``.
+their result through the one heralded readout, ``hhl._heralded``. A run
+allocates no dense operator, and a solve at the widths the statevector
+budget opened stays within a fixed multiple of one statevector.
 """
 import ast
 import math
@@ -226,6 +228,23 @@ def test_run_does_not_allocate_dense_operators():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_wide_solve_stays_within_a_few_statevectors():
+    # 16 register bits, 18 qubits: one statevector is 4 MiB. The peak was 13
+    # statevectors, about 7.5 of them the 65,535 h_theta gates the rotation
+    # holds and the rest the state and its working copies; building the
+    # rotation's expansion or a dense operator would take it past 20
+    p = hhl.HhlProblem(c2.SYSTEM_MATRIX, c2.INPUT_PRESETS["b3"], 16)
+    statevector = 16 << p.qubits
+    tracemalloc.start()
+    try:
+        res = hhl.run_hhl(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.register_reset_ok
+    assert peak < 16 * statevector
 
 
 @settings(max_examples=100, deadline=None)
