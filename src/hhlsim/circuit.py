@@ -9,12 +9,14 @@ and from JSON through one codec, :func:`complex_to_json` and
 :func:`complex_from_json`.
 
 A circuit's ops are of four kinds: a :class:`Gate`, a
-:class:`Multiplexor` (a uniformly controlled one-qubit gate, one gate
-per control value), a :class:`Measure` and a :class:`ConditionalGate`.
-A multiplexor stands for its textbook expansion, X flips around one
-fully controlled gate per value: its census, entangling count, JSON
-form and inverse are the expansion's, the census worked out without
-building it.
+:class:`Multiplexor` (a uniformly controlled one-qubit gate, held as an
+array of control values and one stack of their 2x2 matrices), a
+:class:`Measure` and a :class:`ConditionalGate`. A multiplexor stands
+for its textbook expansion, X flips around one fully controlled gate
+per value: its census, entangling count, JSON form and inverse are the
+expansion's. The census and entangling count are read from the value
+array, and the expansion's gates are built only when a caller asks for
+them.
 
 Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
@@ -28,8 +30,9 @@ the axis, the targets and the controls) is worked out once per geometry
 by :func:`_plan` and kept in a cache of at most _PLAN_CACHE_SIZE
 entries; circuits repeat a few dozen geometries over thousands of gates.
 A multiplexor on a statevector (or on the identity, for the unitary)
-takes one pass, :func:`_multiplex`, with the products the kernel would
-take on its expansion, so the two agree bit for bit.
+takes one pass, :func:`_multiplex`: one batched matmul of its matrix
+stack, with the products the kernel would take on its expansion, so the
+two agree bit for bit.
 The statevector backend handles pure states; the density-matrix backend
 applies the same kernel to the rows and then to the columns, and
 additionally applies depolarizing noise after gate applications. It
@@ -144,8 +147,8 @@ class Gate:
         if self.name == "phase":
             phi = dict(self.params)["phi"]
             return controlled(phase(self.targets[0], -phi), *self.controls)
-        if self.name in _STOCK:
-            return self  # every stock gate but phase is its own inverse
+        if self.name in _SELF_INVERSE:
+            return self
         return Gate(self.name, self.matrix.conj().T, self.targets, self.controls, self.params)
 
 
@@ -224,46 +227,100 @@ def cnot(control: int, target: int) -> Gate:
     return controlled(x(target), control)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Multiplexor:
-    """A uniformly controlled one-qubit gate: each control value picks the gate on ``target``.
+    """A uniformly controlled one-qubit gate: each control value picks the matrix on ``target``.
 
-    ``cases`` pairs control values, ascending, with uncontrolled one-qubit
-    gates on ``target``; bit i of a value is carried by ``controls[i]``,
-    and a value without a case gets the identity. This is the multiplexor
-    of Shende, Bullock and Markov (quant-ph/0406176). :meth:`expand`
-    gives the textbook ops, which the JSON form and the density-matrix
-    backend use; the statevector kernel applies every case in one pass.
+    The cases are arrays: ``values``, the control values, ascending, as an
+    ``intp`` array; ``matrices``, their 2x2 matrices as one (K, 2, 2)
+    stack; and, per case, the gate name in ``names`` and its angle in
+    ``angles`` (0.0 for a gate without one), from which :meth:`expand` and
+    :attr:`cases` rebuild the gates. Bit i of a value is carried by
+    ``controls[i]``, and a value without a case gets the identity. This is
+    the multiplexor of Shende, Bullock and Markov (quant-ph/0406176).
+
+    ``Multiplexor(target, controls, cases)`` takes ``(value, gate)`` pairs
+    of uncontrolled one-qubit gates on ``target``, a stock gate or a
+    :func:`unitary`; :meth:`of_arrays` takes the arrays themselves.
+    :meth:`expand` gives the textbook ops, which the JSON form and the
+    density-matrix backend use; the statevector kernel applies every case
+    in one pass. Equality is bitwise on the arrays, as for a :class:`Gate`.
     """
 
     target: int
     controls: tuple[int, ...]
-    cases: tuple[tuple[int, Gate], ...]
+    values: np.ndarray
+    matrices: np.ndarray
+    names: tuple[str, ...]
+    angles: np.ndarray
 
-    def __post_init__(self):
-        qubits = self.targets + self.controls
-        if not self.controls or len(set(qubits)) != len(qubits) or min(qubits) < 0:
+    def __init__(self, target: int, controls: tuple[int, ...], cases=()):
+        cases = tuple(cases)
+        if any(g.targets != (target,) or g.controls for _, g in cases):
+            raise BadIndex(f"each multiplexor case must be an uncontrolled gate on qubit {target}")
+        angles = [dict(g.params).get(_ANGLE.get(g.name), 0.0) for _, g in cases]
+        if any(g.params != _case_params(g.name, a) for (_, g), a in zip(cases, angles)):
+            raise BadIndex("each multiplexor case must be a stock gate or a unitary without params")
+        self._fill(target, controls, np.array([k for k, _ in cases], dtype=np.intp),
+                   np.array([g.matrix for _, g in cases], dtype=complex).reshape(-1, 2, 2),
+                   tuple(g.name for _, g in cases), np.array(angles, dtype=float))
+
+    @classmethod
+    def of_arrays(cls, target: int, controls: tuple[int, ...], values: np.ndarray,
+                  matrices: np.ndarray, names: tuple[str, ...], angles: np.ndarray) -> "Multiplexor":
+        """The multiplexor of these case arrays, checked as the constructor checks its pairs."""
+        mux = object.__new__(cls)
+        mux._fill(target, controls, values, matrices, names, angles)
+        return mux
+
+    def _fill(self, target, controls, values, matrices, names, angles) -> None:
+        qubits = (target,) + controls
+        if not controls or len(set(qubits)) != len(qubits) or min(qubits) < 0:
             raise BadIndex(f"a multiplexor needs distinct non-negative wires and a control: {qubits}")
-        values = [k for k, _ in self.cases]
-        if values and not 0 <= values[0] <= values[-1] < 1 << len(self.controls) \
-                or any(b <= a for a, b in zip(values, values[1:])):
-            raise BadIndex(f"multiplexor values must ascend within {len(self.controls)} control bits")
-        if any(g.targets != self.targets or g.controls for _, g in self.cases):
-            raise BadIndex(f"each multiplexor case must be an uncontrolled gate on qubit {self.target}")
+        if values.ndim != 1 or values.size and not 0 <= values[0] <= values[-1] < 1 << len(controls) \
+                or np.any(values[1:] <= values[:-1]):
+            raise BadIndex(f"multiplexor values must ascend within {len(controls)} control bits")
+        if matrices.shape != (values.size, 2, 2) or len(names) != values.size or angles.shape != values.shape:
+            raise DimensionMismatch(f"a multiplexor of {values.size} cases needs a ({values.size}, 2, 2) "
+                                    f"matrix stack and a name and an angle per case")
+        self.__dict__.update(target=target, controls=controls, values=values, matrices=matrices,
+                             names=names, angles=angles)
+
+    def __eq__(self, other):
+        if not isinstance(other, Multiplexor):
+            return NotImplemented
+        return (
+            self.target == other.target
+            and self.controls == other.controls
+            and self.names == other.names
+            and bool(np.array_equal(self.values, other.values))
+            and bool(np.array_equal(self.angles, other.angles))
+            and bool(np.array_equal(self.matrices, other.matrices))
+        )
 
     @property
     def targets(self) -> tuple[int]:
         return (self.target,)
+
+    @property
+    def cases(self) -> tuple[tuple[int, Gate], ...]:
+        """``(value, gate)`` pairs of the uncontrolled case gates, built on each call."""
+        return tuple(zip(self.values.tolist(), self._gates(())))
+
+    def _gates(self, controls: tuple[int, ...]):
+        """Each case's gate with these controls; the matrices are views of the stack."""
+        for name, m, a in zip(self.names, self.matrices, self.angles.tolist()):
+            yield Gate(name, m, self.targets, controls, _case_params(name, a))
 
     def expand(self) -> list[Gate]:
         """For each value: an X on each control whose bit is 0, the case gate controlled by
         every control, and the same X again. The X of one wire is one shared gate."""
         flip = [x(q) for q in self.controls]
         ops: list[Gate] = []
-        for k, g in self.cases:
+        for k, g in zip(self.values.tolist(), self._gates(self.controls)):
             flips = [f for i, f in enumerate(flip) if not (k >> i) & 1]
             ops += flips
-            ops.append(controlled(g, *self.controls))
+            ops.append(g)
             ops += flips
         return ops
 
@@ -275,15 +332,18 @@ class Multiplexor:
         all-ones value, which needs none.
         """
         c = len(self.controls)
-        flips = 2 * sum(c - k.bit_count() for k, _ in self.cases)
+        ones = int(np.count_nonzero(self.values[:, None] >> np.arange(c) & 1))
+        flips = 2 * (c * self.values.size - ones)
         counts = {"x": flips} if flips else {}
-        for _, g in self.cases:
-            key = "c" * c + g.name
-            counts[key] = counts.get(key, 0) + 1
+        for name in dict.fromkeys(self.names):
+            counts["c" * c + name] = self.names.count(name)
         return counts
 
     def dagger(self) -> "Multiplexor":
-        return Multiplexor(self.target, self.controls, tuple((k, g.dagger()) for k, g in self.cases))
+        """Each case's :meth:`Gate.dagger`; a multiplexor of self-inverse stock gates is its own."""
+        if set(self.names) <= _SELF_INVERSE:
+            return self
+        return Multiplexor(self.target, self.controls, [(k, g.dagger()) for k, g in self.cases])
 
 
 # stock gates by name: constructor, target count and angle names, from which
@@ -292,6 +352,14 @@ _STOCK = {
     "x": (x, 1, ()), "y": (y, 1, ()), "z": (z, 1, ()), "h": (h, 1, ()), "swap": (swap, 2, ()),
     "phase": (phase, 1, ("phi",)), "h_theta": (h_theta, 1, ("theta",)),
 }
+# the one angle of each stock gate that has one; every stock gate but phase is its own inverse
+_ANGLE = {name: angles[0] for name, (_, _, angles) in _STOCK.items() if angles}
+_SELF_INVERSE = _STOCK.keys() - {"phase"}
+
+
+def _case_params(name: str, angle: float) -> tuple[tuple[str, float], ...]:
+    """A multiplexor case's gate params: its one angle under the stock name, or none."""
+    return ((_ANGLE[name], angle),) if name in _ANGLE else ()
 
 
 @dataclass(frozen=True)
@@ -369,7 +437,7 @@ class Circuit:
 
     def entangling_count(self) -> int:
         """Entangling gates; a multiplexor's expansion has one per case."""
-        return sum(len(op.cases) if isinstance(op, Multiplexor) else isinstance(op, Gate) and op.entangling
+        return sum(op.values.size if isinstance(op, Multiplexor) else isinstance(op, Gate) and op.entangling
                    for op in self.ops)
 
     def to_json_dict(self) -> dict:
@@ -531,11 +599,12 @@ def _multiplex(block: np.ndarray, op: Multiplexor) -> np.ndarray:
     """Apply a multiplexor to the qubit index (axis 0) of a 1-d or 2-d array in one pass.
 
     The array is copied once into one contiguous (2, rest) block per
-    control value, in value order. Each case's matrix multiplies its
-    block exactly as :func:`_apply` multiplies the view of a gate whose
-    controls read that value, the same product on the same layout, so
-    the result equals the expansion's bit for bit. Then every block is
-    written back, those without a case unchanged.
+    control value, in value order. One batched matmul multiplies the
+    blocks of the case values by the matrix stack, each block exactly as
+    :func:`_apply` multiplies the view of a gate whose controls read that
+    value, the same product on the same layout, so the result equals the
+    expansion's bit for bit. Then every block is written back, those
+    without a case unchanged.
     """
     split, perm, _, _ = _plan(block.shape, 0, op.targets, op.controls)
     c = len(op.controls)
@@ -543,8 +612,7 @@ def _multiplex(block: np.ndarray, op: Multiplexor) -> np.ndarray:
     # the control axes first, controls[0] last: the leading index is the value
     t = s.transpose(perm[:-c - 1:-1] + perm[:-c])
     by_value = t.reshape(1 << c, 2, -1)
-    for k, g in op.cases:
-        by_value[k] = np.dot(g.matrix, by_value[k])
+    by_value[op.values] = np.matmul(op.matrices, by_value[op.values])
     t[...] = by_value.reshape(t.shape)
     return s.reshape(block.shape)
 
@@ -813,8 +881,11 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     records = np.array([int(b.record, 2) for b in branches], dtype=np.int64)
     probs = np.array([b.probability for b in branches])
     # after k outcomes a shot carries the rank of its prefix among the
-    # distinct k-outcome prefixes of the branches
-    ranks = [np.unique(records >> (depth - k), return_inverse=True)[1] for k in range(depth + 1)]
+    # distinct k-outcome prefixes of the branches, and the distinct full
+    # records key the histogram; np.unique without an inverse would import numpy.ma
+    prefixes = [np.unique(records >> (depth - k), return_inverse=True) for k in range(depth + 1)]
+    ranks = [inverse for _, inverse in prefixes]
+    values = prefixes[depth][0]
     levels = []
     for k in range(depth):
         if ranks[k + 1].max() == ranks[k].max():
@@ -830,7 +901,6 @@ def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> di
     # up to the first split every shot is on the one prefix all branches
     # share, so that level has a single prefix: one cut, one offset, no gathers
     (k0, lo0, cut0), levels = levels[0], levels[1:]
-    values = np.unique(records)
     counts = np.zeros(values.size, dtype=np.int64)
     bits = _philox(seed, 0)
     for start in range(0, shots, _SHOT_BLOCK):

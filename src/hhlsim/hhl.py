@@ -266,10 +266,21 @@ def reciprocal_rotation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circu
     h_theta controlled by every register wire, inside X flips of the
     wires whose bit of k is 0. ``info`` is the result of :func:`validate`
     on ``p``.
+
+    The reflections go straight into the multiplexor's matrix stack, from
+    the scalar ``math`` calls :func:`qc.h_theta` makes, so each equals
+    that gate's matrix bit for bit and no gate is built.
     """
-    cases = tuple((k, qc.h_theta(0, 0.5 * math.asin(amp)))
-                  for k, amp in _rotation_amplitudes(p, info).items())
-    return qc.Circuit(p.qubits, [qc.Multiplexor(0, p.register_qubits(), cases)])
+    amps = _rotation_amplitudes(p, info)
+    thetas = [0.5 * math.asin(amp) for amp in amps.values()]
+    cos = np.fromiter((math.cos(2 * theta) for theta in thetas), float, len(thetas))
+    sin = np.fromiter((math.sin(2 * theta) for theta in thetas), float, len(thetas))
+    stack = np.zeros((len(thetas), 2, 2), dtype=complex)
+    re = stack.real
+    re[:, 0, 0], re[:, 0, 1], re[:, 1, 0], re[:, 1, 1] = cos, sin, sin, -cos
+    mux = qc.Multiplexor.of_arrays(0, p.register_qubits(), np.fromiter(amps, np.intp, len(amps)), stack,
+                                   ("h_theta",) * len(thetas), np.array(thetas))
+    return qc.Circuit(p.qubits, [mux])
 
 
 def classical_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

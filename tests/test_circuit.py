@@ -13,6 +13,7 @@ import helpers
 from hhlsim import analysis
 from hhlsim import circuit as cq
 from hhlsim import compiled2x2 as c2
+from hhlsim import hhl
 from hhlsim import qstate
 from hhlsim.errors import (
     BadFlag,
@@ -613,6 +614,50 @@ def test_raw_draw_conversion_is_generator_random():
                           cq._uniform(cq._philox(7, 0).random_raw((300, 7))))
 
 
+@st.composite
+def rotation_problems(draw):
+    """(problem, info): a 2x2 or 4x4 system at 1-10 register bits whose eigenvalues lie in
+    [1, 2**n - 1], on the register grid or off it, and C below the smallest populated value."""
+    dim = draw(st.sampled_from([2, 4]))
+    n = draw(st.integers(1, 10))
+    top = (1 << n) - 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lams = rng.uniform(1, top, dim)
+    if draw(st.booleans()):
+        lams = np.round(lams)
+    v = helpers.random_unitary(rng, dim)
+    b = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    p = hhl.HhlProblem((v * lams) @ v.conj().T, b / np.linalg.norm(b), n)
+    p = hhl.HhlProblem(p.a, p.b, n, c_const=draw(st.floats(1e-3, 1.0)) * hhl.validate(p).c)
+    return p, hhl.validate(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rotation_problems())
+def test_rotation_stack_is_the_h_theta_matrices_by_bytes(case):
+    # bytes, not values: a signed zero that h_theta would not make counts
+    p, info = case
+    rot = hhl.reciprocal_rotation_circuit(p, info)
+    # counts stay Python ints, which the JSON report writes
+    assert all(type(n) is int for n in rot.gate_census().values())
+    (mux,) = rot.ops
+    assert mux.values.tolist() == list(hhl._rotation_amplitudes(p, info))
+    assert set(mux.names) <= {"h_theta"}
+    for m, theta in zip(mux.matrices, mux.angles.tolist()):
+        assert m.tobytes() == cq.h_theta(0, theta).matrix.tobytes()
+
+
+def test_batched_matmul_is_the_per_case_dot_by_bytes():
+    # the multiplexor kernel's one matmul must give each case's np.dot bit for bit
+    rng = np.random.default_rng(24)
+    for r in range(1, 65):
+        k = int(rng.integers(1, 40))
+        stack = rng.normal(size=(k, 2, 2)) + 1j * rng.normal(size=(k, 2, 2))
+        blocks = rng.normal(size=(k, 2, r)) + 1j * rng.normal(size=(k, 2, r))
+        want = np.array([np.dot(m, v) for m, v in zip(stack, blocks)])
+        assert np.matmul(stack, blocks).tobytes() == want.tobytes(), r
+
+
 def test_one_branch_readout_draws_nothing(monkeypatch):
     def no_draw(*args):
         raise AssertionError("a readout with one branch built a generator")
@@ -879,6 +924,26 @@ def test_multiplexor_validation():
     # the inverse daggers each case
     mux = cq.Multiplexor(1, (0,), ((1, cq.phase(1, 0.4)),))
     assert cq.Circuit(2, [mux]).inverse().ops[0].cases[0][1] == cq.phase(1, -0.4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multiplexors())
+def test_multiplexor_inverse_is_the_expansions_inverse(case):
+    # the inverse of the expansion's case k is that case's ops reversed and
+    # daggered; the cases act on disjoint control values, so the inverse
+    # multiplexor may undo them in ascending order
+    n, mux, _ = case
+    undone = cq.Circuit(n, [mux]).inverse().ops[0]
+    ops = list(cq.Circuit(n, mux.expand()).inverse().ops)
+    chunks = []
+    for k in mux.values.tolist()[::-1]:
+        size = 2 * (len(mux.controls) - k.bit_count()) + 1
+        chunks.append(ops[:size])
+        ops = ops[size:]
+    assert ops == []
+    assert undone.expand() == [op for chunk in reversed(chunks) for op in reversed(chunk)]
+    assert pickle.loads(pickle.dumps(undone)) == undone
+    assert [g for _, g in undone.cases] == [g.dagger() for _, g in mux.cases]
 
 
 def test_density_matrix_backend_walks_the_expansion():

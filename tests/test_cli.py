@@ -486,3 +486,13 @@ def test_solve_never_imports_numpy_random(tmp_path):
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "False"
+
+
+def test_selftest_never_imports_numpy_ma():
+    # the shot sampler asks np.unique for inverses, a path that leaves numpy.ma unimported
+    code = ("import contextlib, io, sys\nfrom hhlsim import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(['selftest']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

@@ -15,8 +15,9 @@ path the kernel replaced, nor derive a gate or circuit by
 Only the three solve entry points may call ``hhl.validate``; everything
 else takes the ``ValidationInfo`` of their one call. Both solvers read
 their result through the one heralded readout, ``hhl._heralded``. A run
-allocates no dense operator, and a solve at the widths the statevector
-budget opened stays within a fixed multiple of one statevector.
+allocates no dense operator, the reciprocal rotation is built without
+a Gate object, and a solve at the widths the statevector budget opened
+stays within a fixed multiple of one statevector.
 """
 import ast
 import math
@@ -230,11 +231,31 @@ def test_run_does_not_allocate_dense_operators():
     assert peak < 1 << 20
 
 
+def test_the_rotation_builds_no_gate(monkeypatch):
+    # 16 register bits: the 65,535 reflections fit one 4 MiB matrix stack, and
+    # a Gate object for each would take about 40 MiB more
+    p = hhl.HhlProblem(c2.SYSTEM_MATRIX, c2.INPUT_PRESETS["b3"], 16)
+    info = hhl.validate(p)
+    built = []
+    check = cq.Gate.__post_init__
+    monkeypatch.setattr(cq.Gate, "__post_init__", lambda g: built.append(g.name) or check(g))
+    tracemalloc.start()
+    try:
+        rot = hhl.reciprocal_rotation_circuit(p, info)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == []
+    assert rot.ops[0].values.size == 65535
+    assert peak < 16 << 20
+
+
 def test_a_wide_solve_stays_within_a_few_statevectors():
-    # 16 register bits, 18 qubits: one statevector is 4 MiB. The peak was 13
-    # statevectors, about 7.5 of them the 65,535 h_theta gates the rotation
-    # holds and the rest the state and its working copies; building the
-    # rotation's expansion or a dense operator would take it past 20
+    # 16 register bits, 18 qubits: one statevector is 4 MiB. The peak is about
+    # 5.5 statevectors: the state, the multiplexor kernel's working copies and
+    # the rotation's 4 MiB matrix stack. A Gate per register value would add
+    # 7.5, and building the rotation's expansion or a dense operator would
+    # take it past 20
     p = hhl.HhlProblem(c2.SYSTEM_MATRIX, c2.INPUT_PRESETS["b3"], 16)
     statevector = 16 << p.qubits
     tracemalloc.start()
@@ -244,7 +265,7 @@ def test_a_wide_solve_stays_within_a_few_statevectors():
     finally:
         tracemalloc.stop()
     assert res.register_reset_ok
-    assert peak < 16 * statevector
+    assert peak < 7 * statevector
 
 
 @settings(max_examples=100, deadline=None)
