@@ -8,15 +8,17 @@ gate may recur. The stock gates are one table, and complex arrays go to
 and from JSON through one codec, :func:`complex_to_json` and
 :func:`complex_from_json`.
 
-A circuit's ops are of four kinds: a :class:`Gate`, a
+A circuit's ops are unitary ops, of the kinds :data:`UNITARY_KINDS`
+names, a :class:`Measure` or a :class:`ConditionalGate`. Every unitary
+kind answers one protocol, which the circuit and both backends call
+without asking which kind they hold: ``targets``, ``controls``,
+``expand()`` (the textbook gates it stands for), ``census()``,
+``entangling_count()``, ``dagger()`` and ``apply(block)``, its
+statevector kernel. A :class:`Gate` expands to itself; a
 :class:`Multiplexor` (a uniformly controlled one-qubit gate, held as an
-array of control values and one stack of their 2x2 matrices), a
-:class:`Measure` and a :class:`ConditionalGate`. A multiplexor stands
-for its textbook expansion, X flips around one fully controlled gate
-per value: its census, entangling count, JSON form and inverse are the
-expansion's. The census and entangling count are read from the value
-array, and the expansion's gates are built only when a caller asks for
-them.
+array of control values and one stack of their 2x2 matrices) to X flips
+around one fully controlled gate per value, whose census and entangling
+count it reads from the value array without building them.
 
 Two backends share one gate kernel, :func:`_apply`. It views the state
 as one axis per qubit and contracts a gate's small matrix into its
@@ -33,12 +35,12 @@ A multiplexor on a statevector (or on the identity, for the unitary)
 takes one pass, :func:`_multiplex`: one batched matmul of its matrix
 stack, with the products the kernel would take on its expansion, so the
 two agree bit for bit.
-The statevector backend handles pure states; the density-matrix backend
-applies the same kernel to the rows and then to the columns, and
-additionally applies depolarizing noise after gate applications. It
-walks a multiplexor's expansion, noisy or not, since noise is defined
-per textbook gate. At zero noise the backends agree to 1e-10, which the
-self test exercises.
+The statevector backend handles pure states with each op's ``apply``;
+the density-matrix backend applies the gate kernel to the rows and then
+to the columns, and additionally applies depolarizing noise after gate
+applications. It walks every op's expansion, noisy or not, since noise
+is defined per textbook gate. At zero noise the backends agree to
+1e-10, which the self test exercises.
 
 One op walker, :func:`_walk`, executes every circuit on either backend,
 with measurements and classically conditioned gates. At a measurement
@@ -140,8 +142,17 @@ class Gate:
             return True
         return len(self.targets) > 1 and self.name != "swap"
 
-    def census_key(self) -> str:
-        return "c" * len(self.controls) + self.name
+    def expand(self) -> tuple["Gate"]:
+        return (self,)
+
+    def census(self) -> dict[str, int]:
+        return {"c" * len(self.controls) + self.name: 1}
+
+    def entangling_count(self) -> int:
+        return int(self.entangling)
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        return _apply(block, self)
 
     def dagger(self) -> "Gate":
         if self.name == "phase":
@@ -159,6 +170,9 @@ class Measure:
     qubit: int
     slot: int
 
+    def census(self) -> dict[str, int]:
+        return {"measure": 1}
+
 
 @dataclass(frozen=True)
 class ConditionalGate:
@@ -167,6 +181,9 @@ class ConditionalGate:
     gate: Gate
     slot: int
     outcome: int = 1
+
+    def census(self) -> dict[str, int]:
+        return {"if_" + key: n for key, n in self.gate.census().items()}
 
 
 def x(q: int) -> Gate:
@@ -227,24 +244,21 @@ def cnot(control: int, target: int) -> Gate:
     return controlled(x(target), control)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Multiplexor:
     """A uniformly controlled one-qubit gate: each control value picks the matrix on ``target``.
 
     The cases are arrays: ``values``, the control values, ascending, as an
     ``intp`` array; ``matrices``, their 2x2 matrices as one (K, 2, 2)
-    stack; and, per case, the gate name in ``names`` and its angle in
-    ``angles`` (0.0 for a gate without one), from which :meth:`expand` and
-    :attr:`cases` rebuild the gates. Bit i of a value is carried by
-    ``controls[i]``, and a value without a case gets the identity. This is
-    the multiplexor of Shende, Bullock and Markov (quant-ph/0406176).
-
-    ``Multiplexor(target, controls, cases)`` takes ``(value, gate)`` pairs
-    of uncontrolled one-qubit gates on ``target``, a stock gate or a
-    :func:`unitary`; :meth:`of_arrays` takes the arrays themselves.
-    :meth:`expand` gives the textbook ops, which the JSON form and the
-    density-matrix backend use; the statevector kernel applies every case
-    in one pass. Equality is bitwise on the arrays, as for a :class:`Gate`.
+    stack; and, per case, the gate name in ``names`` (a stock gate or a
+    :func:`unitary`) and its angle in ``angles`` (0.0 for a gate without
+    one), from which :meth:`expand` and :meth:`dagger` rebuild the gates.
+    Bit i of a value is carried by ``controls[i]``, and a value without a
+    case gets the identity. This is the multiplexor of Shende, Bullock and
+    Markov (quant-ph/0406176). :meth:`expand` gives the textbook ops,
+    which the JSON form and the density-matrix backend use; the
+    statevector kernel applies every case in one pass. Equality is
+    bitwise on the arrays, as for a :class:`Gate`.
     """
 
     target: int
@@ -254,37 +268,18 @@ class Multiplexor:
     names: tuple[str, ...]
     angles: np.ndarray
 
-    def __init__(self, target: int, controls: tuple[int, ...], cases=()):
-        cases = tuple(cases)
-        if any(g.targets != (target,) or g.controls for _, g in cases):
-            raise BadIndex(f"each multiplexor case must be an uncontrolled gate on qubit {target}")
-        angles = [dict(g.params).get(_ANGLE.get(g.name), 0.0) for _, g in cases]
-        if any(g.params != _case_params(g.name, a) for (_, g), a in zip(cases, angles)):
-            raise BadIndex("each multiplexor case must be a stock gate or a unitary without params")
-        self._fill(target, controls, np.array([k for k, _ in cases], dtype=np.intp),
-                   np.array([g.matrix for _, g in cases], dtype=complex).reshape(-1, 2, 2),
-                   tuple(g.name for _, g in cases), np.array(angles, dtype=float))
-
-    @classmethod
-    def of_arrays(cls, target: int, controls: tuple[int, ...], values: np.ndarray,
-                  matrices: np.ndarray, names: tuple[str, ...], angles: np.ndarray) -> "Multiplexor":
-        """The multiplexor of these case arrays, checked as the constructor checks its pairs."""
-        mux = object.__new__(cls)
-        mux._fill(target, controls, values, matrices, names, angles)
-        return mux
-
-    def _fill(self, target, controls, values, matrices, names, angles) -> None:
-        qubits = (target,) + controls
+    def __post_init__(self):
+        values, controls = self.values, self.controls
+        qubits = (self.target,) + controls
         if not controls or len(set(qubits)) != len(qubits) or min(qubits) < 0:
             raise BadIndex(f"a multiplexor needs distinct non-negative wires and a control: {qubits}")
         if values.ndim != 1 or values.size and not 0 <= values[0] <= values[-1] < 1 << len(controls) \
                 or np.any(values[1:] <= values[:-1]):
             raise BadIndex(f"multiplexor values must ascend within {len(controls)} control bits")
-        if matrices.shape != (values.size, 2, 2) or len(names) != values.size or angles.shape != values.shape:
+        if self.matrices.shape != (values.size, 2, 2) or len(self.names) != values.size \
+                or self.angles.shape != values.shape:
             raise DimensionMismatch(f"a multiplexor of {values.size} cases needs a ({values.size}, 2, 2) "
                                     f"matrix stack and a name and an angle per case")
-        self.__dict__.update(target=target, controls=controls, values=values, matrices=matrices,
-                             names=names, angles=angles)
 
     def __eq__(self, other):
         if not isinstance(other, Multiplexor):
@@ -302,15 +297,10 @@ class Multiplexor:
     def targets(self) -> tuple[int]:
         return (self.target,)
 
-    @property
-    def cases(self) -> tuple[tuple[int, Gate], ...]:
-        """``(value, gate)`` pairs of the uncontrolled case gates, built on each call."""
-        return tuple(zip(self.values.tolist(), self._gates(())))
-
     def _gates(self, controls: tuple[int, ...]):
         """Each case's gate with these controls; the matrices are views of the stack."""
         for name, m, a in zip(self.names, self.matrices, self.angles.tolist()):
-            yield Gate(name, m, self.targets, controls, _case_params(name, a))
+            yield Gate(name, m, self.targets, controls, ((_ANGLE[name], a),) if name in _ANGLE else ())
 
     def expand(self) -> list[Gate]:
         """For each value: an X on each control whose bit is 0, the case gate controlled by
@@ -339,11 +329,21 @@ class Multiplexor:
             counts["c" * c + name] = self.names.count(name)
         return counts
 
+    def entangling_count(self) -> int:
+        """One per case: the expansion's controlled gates."""
+        return self.values.size
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        return _multiplex(block, self)
+
     def dagger(self) -> "Multiplexor":
         """Each case's :meth:`Gate.dagger`; a multiplexor of self-inverse stock gates is its own."""
         if set(self.names) <= _SELF_INVERSE:
             return self
-        return Multiplexor(self.target, self.controls, [(k, g.dagger()) for k, g in self.cases])
+        cases = [g.dagger() for g in self._gates(())]
+        return Multiplexor(self.target, self.controls, self.values, np.array([g.matrix for g in cases]),
+                           tuple(g.name for g in cases),
+                           np.array([g.params[0][1] if g.params else 0.0 for g in cases]))
 
 
 # stock gates by name: constructor, target count and angle names, from which
@@ -357,14 +357,13 @@ _ANGLE = {name: angles[0] for name, (_, _, angles) in _STOCK.items() if angles}
 _SELF_INVERSE = _STOCK.keys() - {"phase"}
 
 
-def _case_params(name: str, angle: float) -> tuple[tuple[str, float], ...]:
-    """A multiplexor case's gate params: its one angle under the stock name, or none."""
-    return ((_ANGLE[name], angle),) if name in _ANGLE else ()
+# the unitary op kinds; each answers the protocol in the module docstring
+UNITARY_KINDS = (Gate, Multiplexor)
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Fixed-width op sequence. Ops are gates, multiplexors, measurements or conditionals."""
+    """Fixed-width op sequence. Ops are unitary ops, measurements or conditionals."""
 
     qubits: int
     ops: tuple = ()
@@ -373,7 +372,7 @@ class Circuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         written: set[int] = set()
         for op in self.ops:
-            if isinstance(op, (Gate, Multiplexor)):
+            if isinstance(op, UNITARY_KINDS):
                 self._check_gate(op)
             elif isinstance(op, Measure):
                 if not 0 <= op.qubit < self.qubits:
@@ -393,7 +392,7 @@ class Circuit:
         c.__dict__.update(qubits=qubits, ops=ops)
         return c
 
-    def _check_gate(self, g: Gate | Multiplexor) -> None:
+    def _check_gate(self, g) -> None:
         for q in g.targets + g.controls:
             if not 0 <= q < self.qubits:
                 raise BadIndex(f"qubit {q} out of range for {self.qubits}-qubit circuit")
@@ -405,7 +404,7 @@ class Circuit:
 
     def inverse(self) -> "Circuit":
         """Reverse the op order and invert each gate. Unitary ops only."""
-        if not all(isinstance(op, (Gate, Multiplexor)) for op in self.ops):
+        if not all(isinstance(op, UNITARY_KINDS) for op in self.ops):
             raise BadIndex("cannot invert a circuit containing measurements")
         return Circuit._of(self.qubits, tuple(op.dagger() for op in reversed(self.ops)))
 
@@ -413,36 +412,27 @@ class Circuit:
         """Full 2**q unitary of a measurement-free circuit."""
         u = np.eye(1 << self.qubits, dtype=complex)
         for op in self.ops:
-            if not isinstance(op, (Gate, Multiplexor)):
+            if not isinstance(op, UNITARY_KINDS):
                 raise BadIndex("circuit with measurements has no single unitary")
-            u = _apply(u, op)
+            u = op.apply(u)
         return u
 
     def gate_census(self) -> dict[str, int]:
-        """Op counts keyed by gate kind, with controls shown as a 'c' prefix; a
-        multiplexor counts as its expansion."""
+        """Op counts keyed by gate kind, with controls shown as a 'c' prefix; each
+        op counts as its expansion."""
         counts: dict[str, int] = {}
         for op in self.ops:
-            if isinstance(op, Multiplexor):
-                items = op.census().items()
-            elif isinstance(op, Gate):
-                items = ((op.census_key(), 1),)
-            elif isinstance(op, Measure):
-                items = (("measure", 1),)
-            else:
-                items = (("if_" + op.gate.census_key(), 1),)
-            for key, n in items:
+            for key, n in op.census().items():
                 counts[key] = counts.get(key, 0) + n
         return counts
 
     def entangling_count(self) -> int:
-        """Entangling gates; a multiplexor's expansion has one per case."""
-        return sum(op.values.size if isinstance(op, Multiplexor) else isinstance(op, Gate) and op.entangling
-                   for op in self.ops)
+        """Entangling gates of the unitary ops' expansions."""
+        return sum(op.entangling_count() for op in self.ops if isinstance(op, UNITARY_KINDS))
 
     def to_json_dict(self) -> dict:
-        """The ops in JSON form, each multiplexor as its expansion."""
-        ops = (e for op in self.ops for e in (op.expand() if isinstance(op, Multiplexor) else (op,)))
+        """The ops in JSON form, each unitary op as its expansion."""
+        ops = (e for op in self.ops for e in (op.expand() if isinstance(op, UNITARY_KINDS) else (op,)))
         return {"qubits": self.qubits, "ops": [_op_to_dict(op) for op in ops]}
 
     def to_json(self) -> str:
@@ -579,11 +569,8 @@ def _apply(block: np.ndarray, g: Gate, matrix: np.ndarray | None = None, axis: i
     Everything derived from the geometry alone, the width check
     included, comes from :func:`_plan`, cached on ``(block.shape, axis,
     g.targets, g.controls)`` for at most _PLAN_CACHE_SIZE geometries;
-    the matrix is never part of the key. A :class:`Multiplexor` goes to
-    :func:`_multiplex` (``axis=0`` only).
+    the matrix is never part of the key.
     """
-    if isinstance(g, Multiplexor):
-        return _multiplex(block, g)
     m = g.matrix if matrix is None else matrix
     split, perm, index, reorder = _plan(block.shape, axis, g.targets, g.controls)
     t = block.reshape(split)
@@ -711,8 +698,8 @@ class Branch:
 def _walk(c: Circuit, state: np.ndarray, touch, policy):
     """Yield every measurement path of ``c`` that ``policy`` follows, depth first.
 
-    The one op loop of both backends: ``touch(state, gate)`` applies a
-    gate, and at each Measure ``policy(p)`` returns the outcomes to
+    The one op loop of both backends: ``touch(state, op)`` applies a
+    unitary op, and at each Measure ``policy(p)`` returns the outcomes to
     follow, in order, where ``p[o]`` is the weight of the state's
     projection on outcome o. Each weight is taken from its own
     projection, never as one minus the other, so an unlikely outcome
@@ -727,7 +714,7 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
         pos, state, prob, classical, record = stack.pop()
         for i in range(pos, len(c.ops)):
             op = c.ops[i]
-            if isinstance(op, (Gate, Multiplexor)):
+            if isinstance(op, UNITARY_KINDS):
                 state = touch(state, op)
             elif isinstance(op, Measure):
                 weights = (_weight(state, {op.qubit: 0}), _weight(state, {op.qubit: 1}))
@@ -744,6 +731,11 @@ def _walk(c: Circuit, state: np.ndarray, touch, policy):
                 state = touch(state, op.gate)
         else:
             yield Branch(record, prob, state, classical)
+
+
+def _pure(state: np.ndarray, op) -> np.ndarray:
+    """The statevector backend's step: the unitary op's own kernel."""
+    return op.apply(state)
 
 
 def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int = 0) -> RunOutcome:
@@ -766,21 +758,18 @@ def run(c: Circuit, input: np.ndarray, noise: NoiseSpec | None = None, seed: int
         if state.shape != (1 << c.qubits, 1 << c.qubits):
             raise DimensionMismatch(f"density matrix shape {state.shape} does not match circuit")
 
-        def touch(rho: np.ndarray, g: Gate | Multiplexor) -> np.ndarray:
-            if isinstance(g, Multiplexor):
-                # noise is defined per textbook gate, so walk the expansion
-                for e in g.expand():
-                    rho = touch(rho, e)
-                return rho
-            # U on the row index, conj(U) on the column index: U rho U^dagger
-            rho = _apply(rho, g)
-            rho = _apply(rho, g, g.matrix.conj(), axis=1)
-            if noise is not None and noise.p_depolarizing > 0.0:
-                if noise.applies_to == "all" or g.entangling:
-                    rho = depolarize(rho, g.targets + g.controls, noise.p_depolarizing)
+        def touch(rho: np.ndarray, op) -> np.ndarray:
+            # noise is defined per textbook gate, so every op walks its expansion
+            for g in op.expand():
+                # U on the row index, conj(U) on the column index: U rho U^dagger
+                rho = _apply(rho, g)
+                rho = _apply(rho, g, g.matrix.conj(), axis=1)
+                if noise is not None and noise.p_depolarizing > 0.0:
+                    if noise.applies_to == "all" or g.entangling:
+                        rho = depolarize(rho, g.targets + g.controls, noise.p_depolarizing)
             return rho
     else:
-        state, touch = arr.copy(), _apply
+        state, touch = arr.copy(), _pure
     bits = None
 
     def collapse(p: tuple[float, float]):
@@ -836,7 +825,7 @@ def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
     def both(p: tuple[float, float]):
         return [outcome for outcome in (0, 1) if p[outcome] > 1e-15]
 
-    return list(_walk(c, arr.copy(), _apply, both))
+    return list(_walk(c, arr.copy(), _pure, both))
 
 
 def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> dict[str, int]:

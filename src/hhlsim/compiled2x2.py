@@ -198,21 +198,6 @@ def run_compiled(cfg: CompiledConfig, seed: int = 0) -> HhlResult:
                      lambda kept: reset_ok)
 
 
-def compiled_success_probability(cfg: CompiledConfig) -> float:
-    """Analytic heralding probability of the compiled circuit.
-
-    The eigenvalue-1 branch (weight |<u-|b>|^2) fires the big rotation,
-    the eigenvalue-2 branch the small one.
-    """
-    b = input_vector(cfg)
-    w_minus = abs(np.vdot(U_MINUS, b)) ** 2
-    w_plus = abs(np.vdot(U_PLUS, b)) ** 2
-    return float(
-        w_minus * math.sin(2 * cfg.theta_big) ** 2
-        + w_plus * math.sin(2 * cfg.theta_small) ** 2
-    )
-
-
 def intermediate_state(cfg: CompiledConfig, stage: str) -> np.ndarray:
     """Full statevector at a named stage, for inspection.
 

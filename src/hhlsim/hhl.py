@@ -232,28 +232,26 @@ def phase_estimation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circuit:
     return qc.Circuit(p.qubits, ops).then(iqft)
 
 
-def _rotation_amplitudes(p: HhlProblem, info: ValidationInfo) -> dict[int, float]:
-    """Ancilla amplitude s(k) on |1> after the rotation, keyed by the register values rotated.
+def _rotation_amplitudes(p: HhlProblem, info: ValidationInfo) -> tuple[np.ndarray, np.ndarray]:
+    """The register values rotated, ascending, and the ancilla amplitude s(k) on |1> of each.
 
     Register value k stands for eigenvalue k * 2*pi / t0, so s(k) is
     C * t0 / (2*pi * k), the C/lambda of that eigenvalue, capped at one
     where it exceeds one by rounding alone. Values whose
     amplitude would exceed one are skipped when they carry no weight and
-    rejected otherwise. Value zero never carries weight for an invertible
-    matrix with an exact spectrum and is not rotated. A value missing
-    from the result keeps its ancilla on |0>: s(k) = 0.
+    rejected otherwise, the first such populated value reported. Value
+    zero never carries weight for an invertible matrix with an exact
+    spectrum and is not rotated. A value missing from the result keeps
+    its ancilla on |0>: s(k) = 0.
     """
-    amps = {}
-    for k in range(1, 1 << p.n_register):
-        amp = info.c * p.t0 / (TWO_PI * k)
-        if amp > 1.0 + 1e-12:
-            if k in info.populated:
-                raise InvalidC(
-                    f"C = {info.c} needs amplitude {amp} on populated register value {k}"
-                )
-            continue
-        amps[k] = min(amp, 1.0)
-    return amps
+    values = np.arange(1, 1 << p.n_register, dtype=np.intp)
+    # the scalar formula's double operations in its order, so each entry equals it bit for bit
+    amps = info.c * p.t0 / (TWO_PI * values)
+    over = amps > 1.0 + 1e-12
+    for k, amp in zip(values[over].tolist(), amps[over].tolist()):
+        if k in info.populated:
+            raise InvalidC(f"C = {info.c} needs amplitude {amp} on populated register value {k}")
+    return values[~over], np.minimum(amps[~over], 1.0)
 
 
 def reciprocal_rotation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circuit:
@@ -271,15 +269,14 @@ def reciprocal_rotation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circu
     the scalar ``math`` calls :func:`qc.h_theta` makes, so each equals
     that gate's matrix bit for bit and no gate is built.
     """
-    amps = _rotation_amplitudes(p, info)
-    thetas = [0.5 * math.asin(amp) for amp in amps.values()]
+    values, amps = _rotation_amplitudes(p, info)
+    thetas = [0.5 * math.asin(amp) for amp in amps.tolist()]
     cos = np.fromiter((math.cos(2 * theta) for theta in thetas), float, len(thetas))
     sin = np.fromiter((math.sin(2 * theta) for theta in thetas), float, len(thetas))
     stack = np.zeros((len(thetas), 2, 2), dtype=complex)
     re = stack.real
     re[:, 0, 0], re[:, 0, 1], re[:, 1, 0], re[:, 1, 1] = cos, sin, sin, -cos
-    mux = qc.Multiplexor.of_arrays(0, p.register_qubits(), np.fromiter(amps, np.intp, len(amps)), stack,
-                                   ("h_theta",) * len(thetas), np.array(thetas))
+    mux = qc.Multiplexor(0, p.register_qubits(), values, stack, ("h_theta",) * len(thetas), np.array(thetas))
     return qc.Circuit(p.qubits, [mux])
 
 
@@ -321,9 +318,9 @@ def success_probability(p: HhlProblem) -> float:
     """
     info = validate(p)
     big_t = 1 << p.n_register
+    values, rotated = _rotation_amplitudes(p, info)
     amps = np.zeros(big_t)
-    for k, amp in _rotation_amplitudes(p, info).items():
-        amps[k] = amp
+    amps[values] = rotated
     weights = _fejer(info.phases[:, None] - np.arange(big_t), big_t)
     return float(np.sum(np.abs(info.betas) ** 2 * (weights @ amps**2)))
 

@@ -53,10 +53,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def exp_i(self, t: float) -> np.ndarray:
         """exp(i*a*t) for the decomposed matrix a."""
         v = self.eigenvectors

@@ -103,6 +103,20 @@ def compiled_oracle(b: np.ndarray, theta_big=math.pi / 8,
     return x / np.linalg.norm(x), p_anc
 
 
+def compiled_success(b: np.ndarray, theta_big=math.pi / 8, theta_small=math.pi / 16) -> float:
+    """Heralding probability of the compiled circuit, from b and the two angles.
+
+    The system matrix has eigenvalue 1 on (1, -1)/sqrt 2 and 2 on
+    (1, 1)/sqrt 2. The eigenvalue-1 branch fires the big rotation and
+    the eigenvalue-2 branch the small one, each putting sin(2 theta) on
+    the ancilla's |1>.
+    """
+    u_minus = np.array([1.0, -1.0]) / math.sqrt(2)
+    u_plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    return float(abs(np.vdot(u_minus, b)) ** 2 * math.sin(2 * theta_big) ** 2
+                 + abs(np.vdot(u_plus, b)) ** 2 * math.sin(2 * theta_small) ** 2)
+
+
 def analytic_hhl(a: np.ndarray, b: np.ndarray, c: float | None = None):
     """Eigenbasis algebra for the ideal pipeline: (x, heralding probability).
 
@@ -154,6 +168,24 @@ def spectrum_naive(a: np.ndarray, b: np.ndarray, n: int, t0: float, c: float | N
     if c is None:
         c = min(populated) * (2.0 * math.pi / t0)
     return exact, populated, float(c), np.array(weights)
+
+
+def rotation_amplitudes_naive(n: int, t0: float, c: float, populated):
+    """The (value, ancilla amplitude) pairs the rotation applies, by a plain loop over values.
+
+    Register value k gets C * t0 / (2*pi * k), capped at one. A value
+    whose amplitude exceeds one by more than 1e-12 is skipped; if it is
+    populated, the first such value is returned alone instead.
+    """
+    pairs = []
+    for k in range(1, 2**n):
+        amp = c * t0 / (2.0 * math.pi * k)
+        if amp > 1.0 + 1e-12:
+            if k in populated:
+                return k
+            continue
+        pairs.append((k, min(amp, 1.0)))
+    return pairs
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

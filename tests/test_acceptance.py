@@ -68,7 +68,7 @@ def test_criterion_2_success_probabilities():
             detail.append(f"generic {name}: {got}")
         cfg = cp.CompiledConfig(input_b=name)
         got_c = cp.run_compiled(cfg).success_probability
-        formula_c = cp.compiled_success_probability(cfg)
+        formula_c = helpers.compiled_success(b)
         if abs(got_c - formula_c) > 1e-10 or abs(got_c - COMPILED_SUCCESS[name]) > 1e-10:
             ok = False
             detail.append(f"compiled {name}: {got_c}")

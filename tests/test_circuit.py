@@ -641,7 +641,8 @@ def test_rotation_stack_is_the_h_theta_matrices_by_bytes(case):
     # counts stay Python ints, which the JSON report writes
     assert all(type(n) is int for n in rot.gate_census().values())
     (mux,) = rot.ops
-    assert mux.values.tolist() == list(hhl._rotation_amplitudes(p, info))
+    values, _ = hhl._rotation_amplitudes(p, info)
+    assert mux.values.tolist() == values.tolist()
     assert set(mux.names) <= {"h_theta"}
     for m, theta in zip(mux.matrices, mux.angles.tolist()):
         assert m.tobytes() == cq.h_theta(0, theta).matrix.tobytes()
@@ -875,6 +876,15 @@ def test_a_non_finite_input_is_refused_before_any_gate(bad, monkeypatch):
                 call()
 
 
+def multiplexor(target, controls, cases):
+    """The multiplexor of ``(value, gate)`` pairs of uncontrolled one-qubit gates on ``target``."""
+    cases = tuple(cases)
+    return cq.Multiplexor(target, tuple(controls), np.array([k for k, _ in cases], dtype=np.intp),
+                          np.array([g.matrix for _, g in cases], dtype=complex).reshape(-1, 2, 2),
+                          tuple(g.name for _, g in cases),
+                          np.array([g.params[0][1] if g.params else 0.0 for _, g in cases]))
+
+
 @st.composite
 def multiplexors(draw):
     """(width, multiplexor, rng): 1-6 controls and a target on random wires of
@@ -885,14 +895,15 @@ def multiplexors(draw):
     values = sorted(draw(st.sets(st.integers(0, (1 << c) - 1))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cases = tuple((k, cq.unitary(random_1q(rng), [wires[0]])) for k in values)
-    return n, cq.Multiplexor(wires[0], tuple(wires[1:c + 1]), cases), rng
+    return n, multiplexor(wires[0], wires[1:c + 1], cases), rng
 
 
 @settings(max_examples=150, deadline=None)
-@given(multiplexors())
+@given(st.one_of(multiplexors(), gates()))
 def test_multiplexor_is_its_expansion(case):
-    n, mux, rng = case
-    one, expanded = cq.Circuit(n, [mux]), cq.Circuit(n, mux.expand())
+    # every unitary op kind: a plain gate is its own expansion
+    n, op, rng = case
+    one, expanded = cq.Circuit(n, [op]), cq.Circuit(n, op.expand())
     psi = random_state(rng, n)
     assert np.max(np.abs(cq.run(one, psi).state - cq.run(expanded, psi).state)) < 1e-12
     assert np.array_equal(one.unitary_matrix(), expanded.unitary_matrix())
@@ -905,7 +916,7 @@ def test_multiplexor_is_its_expansion(case):
 
 def test_multiplexor_validation():
     g = cq.h(0)
-    cq.Multiplexor(0, (2, 1), ((0, g), (3, g)))
+    multiplexor(0, (2, 1), ((0, g), (3, g)))
     for target, controls, cases in [
         (0, (), ()),                              # no control
         (0, (1, 1), ()),                          # repeated wire
@@ -914,16 +925,17 @@ def test_multiplexor_validation():
         (0, (1,), ((1, g), (0, g))),              # values out of order
         (0, (1,), ((0, g), (0, g))),              # a repeated value
         (0, (1,), ((2, g),)),                     # a value past the control bits
-        (0, (1,), ((0, cq.h(2)),)),               # a case on another wire
-        (0, (1,), ((0, cq.cnot(2, 0)),)),         # a controlled case
     ]:
         with pytest.raises(BadIndex):
-            cq.Multiplexor(target, controls, cases)
+            multiplexor(target, controls, cases)
     with pytest.raises(BadIndex):
-        cq.Circuit(2, [cq.Multiplexor(0, (2,), ((1, g),))])
+        cq.Circuit(2, [multiplexor(0, (2,), ((1, g),))])
+    with pytest.raises(DimensionMismatch):
+        # two values, one matrix
+        cq.Multiplexor(0, (1,), np.array([0, 1]), g.matrix[None], ("h", "h"), np.zeros(2))
     # the inverse daggers each case
-    mux = cq.Multiplexor(1, (0,), ((1, cq.phase(1, 0.4)),))
-    assert cq.Circuit(2, [mux]).inverse().ops[0].cases[0][1] == cq.phase(1, -0.4)
+    mux = multiplexor(1, (0,), ((1, cq.phase(1, 0.4)),))
+    assert cq.Circuit(2, [mux]).inverse().ops[0].expand() == [cq.controlled(cq.phase(1, -0.4), 0)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -943,14 +955,14 @@ def test_multiplexor_inverse_is_the_expansions_inverse(case):
     assert ops == []
     assert undone.expand() == [op for chunk in reversed(chunks) for op in reversed(chunk)]
     assert pickle.loads(pickle.dumps(undone)) == undone
-    assert [g for _, g in undone.cases] == [g.dagger() for _, g in mux.cases]
+    assert [g for g in undone.expand() if g.controls] == [g.dagger() for g in mux.expand() if g.controls]
 
 
 def test_density_matrix_backend_walks_the_expansion():
     # noise is defined per textbook gate, so the noisy run of a multiplexor
     # is that of its expansion bit for bit
     rng = np.random.default_rng(21)
-    mux = cq.Multiplexor(0, (1, 3), tuple((k, cq.unitary(random_1q(rng), [0])) for k in (0, 2, 3)))
+    mux = multiplexor(0, (1, 3), tuple((k, cq.unitary(random_1q(rng), [0])) for k in (0, 2, 3)))
     psi = random_state(rng, 4)
     for noise in (cq.NoiseSpec(0.0), cq.NoiseSpec(0.05), cq.NoiseSpec(0.05, "entangling-only")):
         got = cq.run(cq.Circuit(4, [cq.h(2), mux]), psi, noise=noise).state

@@ -119,12 +119,12 @@ def test_output_is_branch_weighted_eigenmix():
         pred = pred / np.linalg.norm(pred)
         assert abs(np.vdot(pred, res.x_state)) ** 2 >= 1 - 1e-10
         assert np.isclose(res.success_probability,
-                          cp.compiled_success_probability(cfg), atol=1e-12)
+                          helpers.compiled_success(b, tb, ts), atol=1e-12)
 
 
 def test_success_probability_values():
     for name, want in SUCCESS.items():
-        got = cp.compiled_success_probability(cp.CompiledConfig(name))
+        got = helpers.compiled_success(cp.INPUT_PRESETS[name])
         assert np.isclose(got, want, atol=1e-15)
     assert np.isclose(SUCCESS["b1"], 0.146446609407, atol=1e-12)
     assert np.isclose(SUCCESS["b2"], 0.5, atol=1e-15)

@@ -132,6 +132,10 @@ def test_reciprocal_rotation_census_and_bounds():
     p = ref_problem(B1, c_const=2.0)
     rot2 = hhl.reciprocal_rotation_circuit(p, hhl.validate(p))
     assert rot2.gate_census()["cch_theta"] == 2
+    # an amplitude that underflows to 0.0 is not over one, so its value is still rotated
+    p = ref_problem(B1, c_const=5e-324)
+    values, amps = hhl._rotation_amplitudes(p, hhl.validate(p))
+    assert values.tolist() == [1, 2, 3] and amps[-1] == 0.0
 
 
 def test_phase_estimation_ends_with_register_inverse_qft():
@@ -415,7 +419,8 @@ def test_reciprocal_rotation_is_the_plain_expansion():
         rot = hhl.reciprocal_rotation_circuit(p, info)
         (mux,) = rot.ops
         ops = mux.expand()
-        want = helpers.reciprocal_rotation_naive(p.n_register, hhl._rotation_amplitudes(p, info))
+        values, amps = hhl._rotation_amplitudes(p, info)
+        want = helpers.reciprocal_rotation_naive(p.n_register, dict(zip(values.tolist(), amps.tolist())))
         assert len(ops) == len(want)
         for op, (name, targets, controls, params, matrix) in zip(ops, want):
             assert (op.name, op.targets, op.controls, op.params) == (name, targets, controls, params)
@@ -484,6 +489,14 @@ def test_validate_reads_the_spectrum_as_the_referee(p):
     assert list(info.populated) == populated
     assert info.c == c
     assert np.max(np.abs(np.abs(info.betas) ** 2 - weights)) < 1e-12
+    # the rotation amplitudes, bit for bit, or the first populated value refused
+    want = helpers.rotation_amplitudes_naive(p.n_register, p.t0, c, populated)
+    if isinstance(want, int):
+        with pytest.raises(InvalidC, match=f"populated register value {want}$"):
+            hhl._rotation_amplitudes(p, info)
+    else:
+        values, amps = hhl._rotation_amplitudes(p, info)
+        assert list(zip(values.tolist(), amps.tolist())) == want
 
 
 @pytest.mark.parametrize("bits, c_const", [(1, None), (3, 1.0), (5, None), (6, 1.0)])

@@ -11,7 +11,8 @@ over basis indices. The kernel's plan cache must serve every array
 shape of one geometry, keep checking the width, and stay within its
 bound. No package module may build a Kronecker product, the dense gate
 path the kernel replaced, nor derive a gate or circuit by
-``dataclasses.replace``, which looks its fields up again on every call.
+``dataclasses.replace``, which looks its fields up again on every call,
+nor, outside the op classes, ask whether an op is a ``Multiplexor``.
 Only the three solve entry points may call ``hhl.validate``; everything
 else takes the ``ValidationInfo`` of their one call. Both solvers read
 their result through the one heralded readout, ``hhl._heralded``. A run
@@ -164,6 +165,31 @@ def test_no_module_builds_a_kronecker_product():
     assert found == []
 
 
+def test_no_module_asks_which_unitary_kind_it_holds():
+    # code outside the op classes' own bodies calls the op protocol instead
+    # of testing for a Multiplexor; a multiplexor has one constructor, its
+    # arrays, and no `cases` view
+    src = Path(cq.__file__).parent
+    op_classes = {"Gate", "Multiplexor", "Measure", "ConditionalGate"}
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {id(node) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name in op_classes for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr in ("of_arrays", "cases"):
+                found.append(where)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "isinstance" and id(node) not in inside):
+                named = {n.id if isinstance(n, ast.Name) else n.attr
+                         for arg in node.args for n in ast.walk(arg) if isinstance(n, (ast.Name, ast.Attribute))}
+                if "Multiplexor" in named:
+                    found.append(where)
+    assert len(list(src.glob("*.py"))) > 5
+    assert found == []
+
+
 def test_no_module_calls_dataclasses_replace():
     src = Path(cq.__file__).parent
     found = []
@@ -247,7 +273,7 @@ def test_the_rotation_builds_no_gate(monkeypatch):
         tracemalloc.stop()
     assert built == []
     assert rot.ops[0].values.size == 65535
-    assert peak < 16 << 20
+    assert peak < 12 << 20
 
 
 def test_a_wide_solve_stays_within_a_few_statevectors():
