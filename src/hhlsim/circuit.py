@@ -6,7 +6,8 @@ list first, then wrap it in a :class:`Circuit`, which validates it; a
 circuit derived from validated ones reuses their ops unchecked, and a
 gate may recur. The stock gates are one table, and complex arrays go to
 and from JSON through one codec, :func:`complex_to_json` and
-:func:`complex_from_json`.
+:func:`complex_from_json`. The JSON form writes a stock gate as its name
+and angle alone, and refuses one whose matrix they do not rebuild.
 
 A circuit's ops are unitary ops, of the kinds :data:`UNITARY_KINDS`
 names, a :class:`Measure` or a :class:`ConditionalGate`. Every unitary
@@ -31,6 +32,13 @@ What the kernel derives from a gate's geometry alone (the array shape,
 the axis, the targets and the controls) is worked out once per geometry
 by :func:`_plan` and kept in a cache of at most _PLAN_CACHE_SIZE
 entries; circuits repeat a few dozen geometries over thousands of gates.
+Likewise the inverse QFT ops of a wire tuple are built once by
+:func:`_inverse_qft_ops` and kept for at most _QFT_CACHE_SIZE tuples,
+so every solve on one register layout shares them; the dagger of a
+``phase`` gate is one constructor call, its matrix from
+:func:`_phase_matrix`, as :func:`phase` takes it. Since gates recur
+across circuits, the matrices of the stock gates and of ``phase`` are
+read-only arrays.
 A multiplexor on a statevector (or on the identity, for the unitary)
 takes one pass, :func:`_multiplex`: one batched matmul of its matrix
 stack, with the products the kernel would take on its expansion, so the
@@ -84,14 +92,24 @@ MAX_RECORD_BITS = 62
 # contraction plan the kernel keeps; the benchmark's workloads use at
 # most about 120 each
 _PLAN_CACHE_SIZE = 1024
+# wire tuples whose inverse QFT ops are kept; a solve reads one, its
+# register, and a 20-qubit state allows at most 19 register widths
+_QFT_CACHE_SIZE = 64
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_SWAP = np.array(
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    """``m``, made read-only: a gate matrix that circuits share is never written."""
+    m.setflags(write=False)
+    return m
+
+
+_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
+_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
+_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
+_H = _frozen(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2))
+_SWAP = _frozen(np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,8 +174,8 @@ class Gate:
 
     def dagger(self) -> "Gate":
         if self.name == "phase":
-            phi = dict(self.params)["phi"]
-            return controlled(phase(self.targets[0], -phi), *self.controls)
+            phi = -dict(self.params)["phi"]
+            return Gate("phase", _phase_matrix(phi), self.targets, self.controls, (("phi", float(phi)),))
         if self.name in _SELF_INVERSE:
             return self
         return Gate(self.name, self.matrix.conj().T, self.targets, self.controls, self.params)
@@ -202,9 +220,12 @@ def h(q: int) -> Gate:
     return Gate("h", _H, (q,))
 
 
+def _phase_matrix(phi: float) -> np.ndarray:
+    return _frozen(np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex))
+
+
 def phase(q: int, phi: float) -> Gate:
-    m = np.array([[1, 0], [0, np.exp(1j * phi)]], dtype=complex)
-    return Gate("phase", m, (q,), params=(("phi", float(phi)),))
+    return Gate("phase", _phase_matrix(phi), (q,), params=(("phi", float(phi)),))
 
 
 def h_theta(q: int, theta: float) -> Gate:
@@ -500,6 +521,12 @@ def _op_to_dict(op) -> dict:
         d[key] = val
     if op.name not in _STOCK:
         d["matrix"] = complex_to_json(op.matrix)
+        return d
+    # a stock gate is written without its matrix, so it must be the one its name rebuilds
+    make, arity, angles = _STOCK[op.name]
+    if tuple(key for key, _ in op.params) != angles \
+            or not np.array_equal(op.matrix, make(*range(arity), *(val for _, val in op.params)).matrix):
+        raise BadIndex(f"gate {op.name!r} does not hold the stock {op.name} matrix at its angle")
     return d
 
 
@@ -933,7 +960,7 @@ def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:
     return out
 
 
-def _qft_ops(wires) -> list:
+def _qft_ops(wires: tuple[int, ...]) -> tuple[Gate, ...]:
     """Quantum Fourier transform ops on ``wires``; ``wires[i]`` carries bit i."""
     n = len(wires)
     ops = []
@@ -943,11 +970,21 @@ def _qft_ops(wires) -> list:
             ops.append(controlled(phase(wires[i], 2 * math.pi / (1 << dist)), wires[ctrl]))
     for i in range(n // 2):
         ops.append(swap(wires[i], wires[n - 1 - i]))
-    return ops
+    return tuple(ops)
+
+
+@functools.lru_cache(maxsize=_QFT_CACHE_SIZE)
+def _inverse_qft_ops(wires: tuple[int, ...]) -> tuple[Gate, ...]:
+    """The ops of :meth:`Circuit.inverse` on :func:`_qft_ops`.
+
+    Built once per wire tuple and kept for at most _QFT_CACHE_SIZE
+    tuples; every circuit on that register layout shares them.
+    """
+    return tuple(g.dagger() for g in reversed(_qft_ops(wires)))
 
 
 def qft(n: int) -> Circuit:
     """Quantum Fourier transform; matrix entries exp(2j*pi*j*k/2**n)/2**(n/2)."""
     if n < 1:
         raise BadIndex(f"qft needs at least one qubit, got {n}")
-    return Circuit(n, _qft_ops(range(n)))
+    return Circuit(n, _qft_ops(tuple(range(n))))

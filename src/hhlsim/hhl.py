@@ -228,7 +228,7 @@ def phase_estimation_circuit(p: HhlProblem, info: ValidationInfo) -> qc.Circuit:
     for i in range(n):
         u = info.spectrum.exp_i(p.t0 * (1 << i) / big_t)
         ops.append(qc.controlled(qc.unitary(u, p.input_qubits()), 1 + i))
-    iqft = qc.Circuit(p.qubits, qc._qft_ops(p.register_qubits())).inverse()
+    iqft = qc.Circuit(p.qubits, qc._inverse_qft_ops(p.register_qubits()))
     return qc.Circuit(p.qubits, ops).then(iqft)
 
 

@@ -5,6 +5,7 @@ loops and eigendecomposition algebra, sharing no code with the package
 beyond numpy itself. The state checks and the GHZ frame search live here
 because only tests use them; they raise AssertionError.
 """
+import cmath
 import math
 from itertools import product
 
@@ -168,6 +169,43 @@ def spectrum_naive(a: np.ndarray, b: np.ndarray, n: int, t0: float, c: float | N
     if c is None:
         c = min(populated) * (2.0 * math.pi / t0)
     return exact, populated, float(c), np.array(weights)
+
+
+def pipeline_closed_form(a: np.ndarray, b: np.ndarray, n: int, t0: float, register, amps: dict):
+    """(x, ancilla marginal) of the whole pipeline by its closed form, by plain loops.
+
+    ``register`` holds the amplitudes a_tau of the register state phase
+    estimation starts from (1/sqrt(2**n) each after the Hadamards), and
+    ``amps`` maps register value k to its rotation amplitude s(k) on the
+    ancilla's |1>; a value it lacks has s(k) = 0. With phi_j = lambda_j *
+    t0 / (2*pi) and T = 2**n, phase estimation puts amplitude
+    alpha_{k|j} = (1/sqrt(T)) sum_tau a_tau exp(2*pi*i*tau*(phi_j - k)/T)
+    on value k. The heralded output is then
+    x ~ sum_j beta_j u_j sum_k |alpha_{k|j}|^2 s(k), returned normalized,
+    and the ancilla marginal sum_j |beta_j|^2 sum_k |alpha_{k|j}|^2 s(k)^2.
+    """
+    w, v = np.linalg.eigh(a)
+    dim, big_t = len(b), 2**n
+    x = np.zeros(dim, dtype=complex)
+    marginal = 0.0
+    for j in range(dim):
+        beta = 0j
+        for i in range(dim):
+            beta += v[i, j].conjugate() * b[i]
+        phi = float(w[j]) * t0 / (2.0 * math.pi)
+        linear = quadratic = 0.0
+        for k in range(big_t):
+            alpha = 0j
+            for tau in range(big_t):
+                alpha += register[tau] * cmath.exp(2j * math.pi * tau * (phi - k) / big_t)
+            weight = abs(alpha) ** 2 / big_t
+            s = amps.get(k, 0.0)
+            linear += weight * s
+            quadratic += weight * s * s
+        for i in range(dim):
+            x[i] += beta * v[i, j] * linear
+        marginal += abs(beta) ** 2 * quadratic
+    return x / np.linalg.norm(x), marginal
 
 
 def rotation_amplitudes_naive(n: int, t0: float, c: float, populated):

@@ -740,13 +740,44 @@ def test_stock_gates_come_from_one_table():
     for name in cq._STOCK:
         with pytest.raises(BadIndex, match="reserved"):
             cq.unitary(np.eye(2), [0], name=name)
-    # every stock gate is rebuilt from its name, targets and angles alone
-    c = cq.Circuit(2, [cq.x(0), cq.y(1), cq.z(0), cq.h(1), cq.swap(0, 1),
-                        cq.phase(0, 0.3), cq.h_theta(1, 0.2)])
-    assert {op.name for op in c.ops} == set(cq._STOCK)
-    d = c.to_json_dict()
-    assert all("matrix" not in op for op in d["ops"])
-    assert cq.Circuit.from_json_dict(d) == c
+    # every stock gate, controlled or not, and its dagger are rebuilt from
+    # the name, targets, controls and angles alone
+    for ctrls in ((), (2,), (3, 2)):
+        c = cq.Circuit(4, [cq.controlled(g, *ctrls) for g in (
+            cq.x(0), cq.y(1), cq.z(0), cq.h(1), cq.swap(0, 1), cq.phase(0, 0.3), cq.h_theta(1, 0.2))])
+        assert {op.name for op in c.ops} == set(cq._STOCK)
+        for circ in (c, c.inverse()):
+            d = circ.to_json_dict()
+            assert all("matrix" not in op for op in d["ops"])
+            assert cq.Circuit.from_json_dict(d) == circ
+
+
+def test_the_json_form_never_mislabels_a_stock_gate():
+    # a stock gate is written as its name and angle alone, so a gate whose
+    # matrix is not the one they rebuild is refused, not silently changed
+    y = cq.y(0).matrix
+    for op in (
+        cq.Multiplexor(0, (1,), np.array([1]), y[None], ("h",), np.zeros(1)),
+        cq.Gate("h", y, (0,)),
+        cq.Gate("h", y, (0,), (1,)),
+        cq.ConditionalGate(cq.Gate("x", y, (1,)), 0),
+        cq.Gate("swap", np.eye(4, dtype=complex), (0, 1)),
+        cq.Gate("phase", cq.phase(0, 0.3).matrix, (0,), params=(("phi", 0.4),)),
+        cq.Gate("phase", cq.phase(0, 0.3).matrix, (0,)),
+        cq.Gate("h_theta", cq.h_theta(0, 0.2).matrix, (0,), params=(("phi", 0.2),)),
+    ):
+        c = cq.Circuit(2, [cq.Measure(0, 0), op] if isinstance(op, cq.ConditionalGate) else [op])
+        with pytest.raises(BadIndex, match="stock"):
+            c.to_json()
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_the_reciprocal_rotation_round_trips(bits):
+    # its expansion's cases are rebuilt from their names and angles
+    p = hhl.HhlProblem(c2.SYSTEM_MATRIX, c2.INPUT_PRESETS["b3"], bits, c_const=1.0)
+    rot = hhl.reciprocal_rotation_circuit(p, hhl.validate(p))
+    for c in (rot, rot.inverse()):
+        assert cq.Circuit.from_json(c.to_json()) == cq.Circuit(p.qubits, c.ops[0].expand())
 
 
 @pytest.mark.parametrize("entry", [True, None, "1", [1.0], [1.0, 0.0, 0.0], [False, 0.0]])

@@ -9,7 +9,9 @@ The bit view every projection and readout goes through must agree with
 branch weight every measurement and register check reads with a sum
 over basis indices. The kernel's plan cache must serve every array
 shape of one geometry, keep checking the width, and stay within its
-bound. No package module may build a Kronecker product, the dense gate
+bound; the cached inverse QFT must be a fresh build, stay within its
+bound, and, like the stock gates, refuse a write to its shared
+matrices. No package module may build a Kronecker product, the dense gate
 path the kernel replaced, nor derive a gate or circuit by
 ``dataclasses.replace``, which looks its fields up again on every call,
 nor, outside the op classes, ask whether an op is a ``Multiplexor``.
@@ -22,7 +24,9 @@ stays within a fixed multiple of one statevector.
 """
 import ast
 import math
+import pickle
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +280,27 @@ def test_the_rotation_builds_no_gate(monkeypatch):
     assert peak < 12 << 20
 
 
+@pytest.mark.parametrize("dim, bits", [(2, 7), (4, 6)])
+def test_a_second_stage_build_reuses_the_register_qft(dim, bits, monkeypatch):
+    # the inverse QFT comes from the cache, so a stage build makes n
+    # Hadamards, 3n gates for the n controlled powers (built, controlled and
+    # inverted once each) and the n(n-1)/2 inverted phases of pe.inverse():
+    # 49 gates for the 2x2 problem at 7 bits (164 when every solve rebuilt
+    # and inverted the QFT) and 39 for a 4x4 problem at 6 bits (123)
+    if dim == 2:
+        p = hhl.HhlProblem(c2.SYSTEM_MATRIX, c2.INPUT_PRESETS["b3"], bits)
+    else:
+        p = hhl.HhlProblem(*helpers.random_exact_problem(np.random.default_rng(3), 4, bits), bits)
+    info = hhl.validate(p)
+    hhl._stages(p, info)
+    built = []
+    check = cq.Gate.__post_init__
+    monkeypatch.setattr(cq.Gate, "__post_init__", lambda g: built.append(g.name) or check(g))
+    hhl._stages(p, info)
+    assert Counter(built) == {"h": bits, "unitary": 3 * bits, "phase": bits * (bits - 1) // 2}
+    assert len(built) == {2: 49, 4: 39}[dim]
+
+
 def test_a_wide_solve_stays_within_a_few_statevectors():
     # 16 register bits, 18 qubits: one statevector is 4 MiB. The peak is about
     # 5.5 statevectors: the state, the multiplexor kernel's working copies and
@@ -323,6 +348,51 @@ def test_cached_geometry_still_checks_the_width():
     # a narrower axis of a 2-d array is checked too
     with pytest.raises(BadIndex):
         cq._apply(np.zeros((16, 8), dtype=complex), g, axis=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=True))
+def test_the_cached_inverse_qft_is_a_fresh_build(wires):
+    # wires in any order; op for op by == and by pickle bytes, and the
+    # inverse of the cached inverse is the QFT
+    wires = tuple(wires)
+    n = max(wires) + 1
+    forward = cq._qft_ops(wires)
+    fresh_inverse = cq.Circuit(n, forward).inverse().ops
+    inverse = cq._inverse_qft_ops(wires)
+    assert type(forward) is tuple and type(inverse) is tuple
+    assert inverse == fresh_inverse
+    assert pickle.dumps(inverse) == pickle.dumps(fresh_inverse)
+    assert cq._inverse_qft_ops(wires) is inverse
+    assert cq.Circuit(n, inverse).inverse().ops == forward
+
+
+def test_shared_gate_matrices_are_read_only():
+    # the cached gates recur in every solve on their layout, and the stock
+    # matrices in every circuit, so a write must fail instead of reaching them
+    wires = (1, 2, 3)
+    shared = cq._qft_ops(wires) + cq._inverse_qft_ops(wires)
+    stock = (cq.x(0), cq.y(0), cq.z(0), cq.h(0), cq.swap(0, 1), cq.phase(0, 0.3), cq.phase(0, 0.3).dagger())
+    for g in shared + stock:
+        with pytest.raises(ValueError):
+            g.matrix[0, 0] = 2.0
+    assert cq._inverse_qft_ops(wires) == cq.Circuit(4, cq._qft_ops(wires)).inverse().ops
+
+
+def test_qft_cache_stays_bounded():
+    cq._inverse_qft_ops.cache_clear()
+    layouts = [tuple(range(k, k + 3)) for k in range(cq._QFT_CACHE_SIZE + 10)]
+    for wires in layouts:
+        cq._inverse_qft_ops(wires)
+    info = cq._inverse_qft_ops.cache_info()
+    assert info.currsize == cq._QFT_CACHE_SIZE
+    assert info.misses == len(layouts)
+    # the first layouts were evicted and are built again correctly
+    dft = np.exp(2j * math.pi * np.outer(np.arange(8), np.arange(8)) / 8) / math.sqrt(8)
+    assert cq._inverse_qft_ops(layouts[0]) == cq.Circuit(3, cq._qft_ops(layouts[0])).inverse().ops
+    assert np.max(np.abs(cq.qft(3).unitary_matrix() - dft)) < 1e-12
+    assert np.max(np.abs(cq.Circuit(3, cq._inverse_qft_ops(layouts[0])).unitary_matrix() - dft.conj().T)) < 1e-12
+    assert cq._inverse_qft_ops.cache_info().currsize == cq._QFT_CACHE_SIZE
 
 
 def test_plan_cache_stays_bounded():
