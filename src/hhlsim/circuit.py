@@ -60,14 +60,15 @@ them, go through one bit view, :func:`_bit_view`, and every branch
 weight through :func:`_weight`.
 
 Measurement randomness comes from a counter-based Philox generator
-keyed by (seed, shot index), so shot sampling is reproducible and
-independent of evaluation order. It is built at the first draw, so a
+keyed by (seed, 0), so shot sampling is reproducible and independent
+of evaluation order. It is built at the first draw, so a
 run without measurements never imports ``numpy.random``, and
 :func:`sample_shots` builds none for a readout with one branch, which
-every shot reads whatever it draws. Where a level splits, the sampler
-compares the top 53 bits of each raw draw with an integer cut,
-ceil(share * 2**53), which decides exactly as the uniform ``run`` makes
-from the same draw would, without turning a column into floats.
+every shot reads whatever it draws. Otherwise the sampler takes one draw
+per shot and compares its top 53 bits with integer cuts,
+ceil(share * 2**53) of each branch's cumulative share, which decide
+exactly as the uniform ``run`` makes from the same draw would, without
+turning the draws into floats.
 """
 from __future__ import annotations
 
@@ -86,8 +87,6 @@ UNITARY_ATOL = 1e-10
 # of _SHOT_BLOCK shots, so it bounds time, not memory
 MAX_SHOTS = 10**6
 _SHOT_BLOCK = 1 << 13
-# upper bound on sample_shots' record length; a record is read as an int64
-MAX_RECORD_BITS = 62
 # distinct gate geometries (array shape, axis, targets, controls) whose
 # contraction plan the kernel keeps; the benchmark's workloads use at
 # most about 120 each
@@ -858,75 +857,47 @@ def enumerate_branches(c: Circuit, input: np.ndarray) -> list[Branch]:
 def sample_shots(c: Circuit, input: np.ndarray, shots: int, seed: int = 0) -> dict[str, int]:
     """Histogram of measurement records over ``shots`` runs.
 
-    Shot i consumes row i of one counter-based stream of raw draws keyed
-    by the seed, one column per measurement, so histograms are
-    reproducible and growing ``shots`` extends earlier histograms
-    without disturbing them. Records are keyed as outcome strings in
-    program order; every record has one character per Measure op, and at
-    most MAX_RECORD_BITS of them. A shot reads 1 when its draw, as a
-    uniform in [0, 1) made as ``Generator.random`` makes it, falls below
-    the share of its prefix's mass that continues with 1. Branches of
-    probability 0.0 are dropped: no shot reaches them. Raises
-    ZeroProbability, before any table is built, when no branch is left.
+    Shot i reads word i of one counter-based stream of raw draws keyed by
+    the seed, one draw per shot however many qubits are measured, so
+    histograms are reproducible and growing ``shots`` extends earlier
+    histograms without disturbing them. Records are keyed as outcome
+    strings in program order; every record has one character per Measure
+    op. A shot lands on the first branch, in :func:`enumerate_branches`
+    order, whose cumulative mass divided by the total exceeds its draw,
+    as a uniform in [0, 1) made as ``Generator.random`` makes it; masses
+    are running sums in branch order. Branches of probability 0.0 are
+    dropped: no shot reaches them. Raises ZeroProbability when no branch
+    is left.
 
     A readout with one branch returns it for every shot without drawing,
     since no draw could change it. Otherwise the stream is read in blocks
-    of _SHOT_BLOCK rows, and only the columns of levels at which some
-    prefix splits are read; a level at which no prefix splits never
-    touches the shots. A split level compares the draw's top 53 bits with
-    the integer cut :func:`_cut` of each share, which decides exactly as
-    the uniform would, so no column becomes floats; the first split level
-    has one prefix, hence one cut. Every table is sized by the branch
-    count, never by 2**depth, and memory does not grow with ``shots``.
+    of _SHOT_BLOCK draws, each sorted and counted below the integer cut
+    :func:`_cut` of every cumulative share, which decides exactly as the
+    uniform would, so no draw becomes a float. Memory follows the block
+    and the branch count, never ``shots`` or the record length.
     """
     if shots < 1:
         raise BadFlag(f"shots must be positive, got {shots}")
     if shots > MAX_SHOTS:
         raise BadFlag(f"shots must be at most {MAX_SHOTS}, got {shots}")
-    depth = sum(1 for op in c.ops if isinstance(op, Measure))
-    if depth > MAX_RECORD_BITS:
-        raise BadFlag(f"records hold at most {MAX_RECORD_BITS} measurements, got {depth}")
     branches = [b for b in enumerate_branches(c, input) if b.probability > 0.0]
-    if depth == 0:
-        return {"": shots}
     if not branches:
         raise ZeroProbability("the input leaves no measurement record to sample")
     if len(branches) == 1:
-        # no level splits, so every shot reads this record whatever it draws
+        # every shot reads this record whatever it draws; a circuit without
+        # a Measure has one branch, record "", of probability 1.0
         return {branches[0].record: shots}
-    records = np.array([int(b.record, 2) for b in branches], dtype=np.int64)
-    probs = np.array([b.probability for b in branches])
-    # after k outcomes a shot carries the rank of its prefix among the
-    # distinct k-outcome prefixes of the branches, and the distinct full
-    # records key the histogram; np.unique without an inverse would import numpy.ma
-    prefixes = [np.unique(records >> (depth - k), return_inverse=True) for k in range(depth + 1)]
-    ranks = [inverse for _, inverse in prefixes]
-    values = prefixes[depth][0]
-    levels = []
-    for k in range(depth):
-        if ranks[k + 1].max() == ranks[k].max():
-            continue  # no prefix splits, so each shot's child keeps its rank whatever it draws
-        bit = (records >> (depth - 1 - k)) & 1
-        # a prefix's children are adjacent in rank order, so a shot moves to
-        # lo + its bit; a prefix with one child has a share of exactly 0 or 1
-        lo = np.empty(ranks[k].max() + 1, dtype=np.intp)
-        lo[ranks[k]] = ranks[k + 1] - bit
-        # masses sum in branch order; adding the zeros is exact
-        share = np.bincount(ranks[k], np.where(bit == 1, probs, 0.0)) / np.bincount(ranks[k], probs)
-        levels.append((k, lo, _cut(share)))
-    # up to the first split every shot is on the one prefix all branches
-    # share, so that level has a single prefix: one cut, one offset, no gathers
-    (k0, lo0, cut0), levels = levels[0], levels[1:]
-    counts = np.zeros(values.size, dtype=np.int64)
+    # np.cumsum adds in order, as a Python running sum does
+    mass = np.cumsum([b.probability for b in branches])
+    # the last share is exactly 1.0, so its cut, 2**53, lies above every draw
+    cuts = _cut(mass / mass[-1])
+    below = np.zeros(len(branches), dtype=np.int64)
     bits = _philox(seed, 0)
     for start in range(0, shots, _SHOT_BLOCK):
-        # consecutive raw draws continue the stream: these are rows start, start + 1, ...
-        raw = bits.random_raw((min(_SHOT_BLOCK, shots - start), depth))
-        at = (raw[:, k0] >> 11 < cut0[0]) + lo0[0]
-        for k, lo, cut in levels:
-            at = lo[at] + (raw[:, k] >> 11 < cut[at])
-        counts += np.bincount(at, minlength=values.size)
-    return {format(int(v), f"0{depth}b"): int(n) for v, n in zip(values, counts) if n}
+        # consecutive raw draws continue the stream: these are words start, start + 1, ...
+        drawn = np.sort(bits.random_raw(min(_SHOT_BLOCK, shots - start)) >> 11)
+        below += np.searchsorted(drawn, cuts)
+    return {b.record: int(n) for b, n in zip(branches, np.diff(below, prepend=0)) if n}
 
 
 def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:

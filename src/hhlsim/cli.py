@@ -32,7 +32,7 @@ from .errors import BadFlag, SimulationError, ZeroProbability
 from .hhl import problem_from_dict, result_to_dict, run_hhl
 from .selftest import run_selftest
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 DEFAULT_SWEEP = "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5"
 
 

@@ -293,28 +293,30 @@ def best_ghz_frame(state: np.ndarray) -> tuple[dict[int, str], float]:
 
 
 def sample_shots_naive(branches, shots: int, seed: int) -> dict[str, int]:
-    """Histogram of records, walking one draw row per shot over the branch list.
+    """Histogram of records, walking the branch list once per shot.
 
-    ``branches`` are (record, probability) pairs. Shot i reads row i of
-    the uniform draw keyed by (seed, 0). At each level a shot reads 1
-    when its draw falls below the share of its prefix's mass that
-    continues with 1; masses are Python-float sums over the branch list,
-    in branch order.
+    ``branches`` are (record, probability) pairs. Shot i reads uniform i
+    of the draw keyed by (seed, 0) and takes the first branch of positive
+    probability, in list order, with ``u < cum / total``; masses are
+    Python-float running sums over those branches, in list order. A
+    list with one such branch gives it every shot.
     """
-    depth = len(branches[0][0])
+    kept = [(rec, p) for rec, p in branches if p > 0.0]
+    if len(kept) == 1:
+        return {kept[0][0]: shots}
+    # a loop, not sum(): from Python 3.12 sum() compensates float rounding
+    total = 0.0
+    for _, p in kept:
+        total += p
     key = np.array([seed, 0], dtype=np.uint64)
-    u = np.random.Generator(np.random.Philox(key=key)).random((shots, depth))
-    share: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for row in u:
-        prefix = ""
-        for k in range(depth):
-            if prefix not in share:
-                total = sum(p for rec, p in branches if rec.startswith(prefix))
-                ones = sum(p for rec, p in branches if rec.startswith(prefix + "1"))
-                share[prefix] = ones / total
-            prefix += "1" if row[k] < share[prefix] else "0"
-        counts[prefix] = counts.get(prefix, 0) + 1
+    for u in np.random.Generator(np.random.Philox(key=key)).random(shots):
+        cum = 0.0
+        for rec, p in kept:
+            cum += p
+            if u < cum / total:
+                counts[rec] = counts.get(rec, 0) + 1
+                break
     return counts
 
 

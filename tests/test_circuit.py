@@ -376,7 +376,8 @@ def test_sample_shots_deterministic_and_prefix_stable():
     h_half = cq.sample_shots(c, init, 2000, seed=5)
     assert all(h1[k] >= v for k, v in h_half.items())
     assert sum(h1.values()) - sum(h_half.values()) == 2000
-    assert cq.sample_shots(c, init, 100, seed=6) != h1 or True  # seeds vary freely
+    # both histograms are fixed by their seeds, so this cannot flake
+    assert cq.sample_shots(c, init, 4000, seed=6) != h1
     with pytest.raises(BadFlag):
         cq.sample_shots(c, init, 0)
     with pytest.raises(BadFlag):
@@ -701,13 +702,36 @@ def test_chain_of_unlikely_outcomes_keeps_its_branch():
     assert all(math.isclose(probs[k], p, rel_tol=1e-9) for k, p in want.items())
 
 
-def test_sample_shots_record_length_cap():
+def test_sample_shots_long_records_match_naive_sampler():
+    # a record is a string, so its length is not capped by any integer width
     init = np.array([1.0, 0.0])
-    longest = cq.Circuit(1, [cq.h(0)] + [cq.Measure(0, 0)] * cq.MAX_RECORD_BITS)
-    hist = cq.sample_shots(longest, init, 100, seed=0)
-    assert set(hist) == {"0" * 62, "1" * 62}
-    with pytest.raises(BadFlag):
-        cq.sample_shots(cq.Circuit(1, longest.ops + (cq.Measure(0, 0),)), init, 100)
+    for depth in (63, 100):
+        c = cq.Circuit(1, [cq.h(0)] + [cq.Measure(0, 0)] * depth)
+        branches = [(b.record, b.probability) for b in cq.enumerate_branches(c, init)]
+        hist = cq.sample_shots(c, init, 100, seed=0)
+        assert set(hist) == {"0" * depth, "1" * depth}
+        assert hist == helpers.sample_shots_naive(branches, 100, 0)
+
+
+def test_sample_shots_draws_one_word_per_shot(monkeypatch):
+    words = []
+    philox = cq._philox
+
+    class Counting:
+        def __init__(self, seed, shot):
+            self.bits = philox(seed, shot)
+
+        def random_raw(self, size=None):
+            raw = self.bits.random_raw(size)
+            words.append(np.size(raw))
+            return raw
+
+    monkeypatch.setattr(cq, "_philox", Counting)
+    # two branches, each record eight outcomes long
+    c = cq.Circuit(1, [cq.h(0)] + [cq.Measure(0, k) for k in range(8)])
+    hist = cq.sample_shots(c, np.array([1.0, 0.0]), 10**5, seed=3)
+    assert set(hist) == {"0" * 8, "1" * 8}
+    assert sum(words) == 10**5
 
 
 @settings(max_examples=150, deadline=None)

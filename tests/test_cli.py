@@ -40,7 +40,7 @@ def test_solve_reference(tmp_path, capsys):
     ])
     assert code == 0 and err == ""
     doc = json.loads(out)
-    assert doc["schema_version"] == "2"
+    assert doc["schema_version"] == "3"
     assert doc["command"] == "solve"
     assert doc["config"]["register_bits"] == 2
     res = doc["result"]
@@ -489,7 +489,7 @@ def test_solve_never_imports_numpy_random(tmp_path):
 
 
 def test_selftest_never_imports_numpy_ma():
-    # the shot sampler asks np.unique for inverses, a path that leaves numpy.ma unimported
+    # selftest samples shots, and the sampler's sort-and-count path needs no numpy.ma
     code = ("import contextlib, io, sys\nfrom hhlsim import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(['selftest']) == 0\n"
             "print('numpy.ma' in sys.modules)")

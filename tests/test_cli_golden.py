@@ -23,56 +23,58 @@ MATRIX = [[1.75, 0.25], [0.25, 1.75]]
 VECTOR = [0.6, 0.8]
 SOLVE = ["solve", "--matrix", "matrix.json", "--vector", "vector.json"]
 # eigenvalues 1 and 2 lie on the register grid, so after the uncompute every
-# register read is certain: the sampler's levels that no prefix splits
+# register read is certain and the readout's branches split only at the
+# ancilla and the output qubit
 EXACT = [[1.5, 0.5], [0.5, 1.5]]
 
-# (argv, sha256 of stdout), recorded before the one-walker refactor of circuit
+# (argv, sha256 of stdout), recorded at schema version 3: the shot outputs
+# moved with the one-draw-per-shot stream, and the other JSON documents
+# with their "schema_version" line alone
 GRID = {
     "paper": (
         ["paper", "--input", "all"],
-        "29aa550b11580005006b8c1f5f283875732e51f233153e9b28f138488252d0a9"),
+        "78a418e31646c97610885df342891b9d1fa4f52f7bb1366b75e24a498900fe2f"),
     "paper-b3-semiclassical": (
         ["paper", "--input", "b3", "--feedforward", "semiclassical"],
-        "7c67af1a4614b839afa2fff3bf738f5d95ec5d2ea22f08d3934402bbd23665a5"),
+        "c8178e8ddf62e1da5d84c66622cab137d914703e3380bc14ead2cfc5846cc89c"),
     "paper-shots": (
         ["paper", "--input", "all", "--shots", "100000", "--seed", "4"],
-        "5b0ce4462221c04aeeaf8c0eb85d5280b8704b3198404b5432dcda9f75bbd056"),
+        "20f9d29573352ca8f84612d9cc373a0388d6e44c8e8714250f4d332e9d1b85e8"),
     "paper-semiclassical-shots": (
         ["paper", "--input", "all", "--feedforward", "semiclassical", "--shots", "100000",
          "--seed", "5"],
-        "dd772d7260793dc44ed561bf2fe9873018366641ee14b8377c93027ccd87f49f"),
+        "07013d406fb665c4bb808ca7e5e096b73d15f74830ae23d2c1275cb594234894"),
     "paper-generic-shots-json": (
         ["paper", "--mode", "generic", "--shots", "50000", "--seed", "6"],
-        "61d67ebd23eb92b0c7ce0278b3076ac83e28eef6bdd2c6ddbeb62569bb703453"),
+        "5bdaf0def713b07358cf4dd4f940084e43e28c0b91bff69ef23eaf9760445f32"),
     "paper-generic-shots-csv": (
         ["paper", "--mode", "generic", "--shots", "50000", "--seed", "6", "--format", "csv"],
-        "34d8b24c738331e7793f96f0b4ed9085e3a35b84b0502eff9a6a8f404a988241"),
+        "2ea789c1744a4ed04f8b116de42f0cb18bc8b17690db279d79e0aebd8d3a8496"),
     "noise-sweep-csv": (
         ["noise-sweep"],
         "765a9b72a28f5168295f99a61f3e63eeb1d7818c51dc373d5c876f257562fdb4"),
     "noise-sweep-json": (
         ["noise-sweep", "--format", "json"],
-        "1b9d1d3e088b7c42a117cfb317cb98ccc58ee037a30fb41e5604eb3d26a9d07e"),
+        "4e54a3fe9aa429b0480c73e9985129324cf4011e6bbc7e44f9267ebfd4626821"),
     "noise-sweep-generic-json": (
         ["noise-sweep", "--mode", "generic", "--format", "json"],
-        "268919c433b34fe8facde41c9be9908d98fcc2c2c0662404493a650a4509c795"),
+        "bbf5df4fb615bc68bd9f75f0b44fdcea3d05a7d1a971d97684ef768b6ff329bf"),
     "selftest": (
         ["selftest"],
         "50ec0e33c4b8d097ad97af8e24d2d138603eb83d9269e49e4227cc0cce75985f"),
     "solve-2": (
         SOLVE + ["--register-bits", "2"],
-        "ca726d9c5685873d30dbaf95347bc8d30b54f1cd3c62468a518faeb156cafa60"),
+        "89e21fc922e735836dad959b6d0746b9213c97a64cbb3b57177cc7bc95cdadba"),
     "solve-5-shots": (
         SOLVE + ["--register-bits", "5", "--shots", "100000", "--seed", "3"],
-        "bf9de469ef78b1e90ed014f728a23d33877e3c1247245b1e86ec64fee53f982d"),
+        "2abc5f78dfad1c2cd2bfef2f98b16779e7353def0aeec09d0ae057eeb2aa39de"),
     "solve-8": (
         SOLVE + ["--register-bits", "8"],
-        "2c0ccc71647f6536d43a6eaee7e6a3fc59a80ac718dafbe658c0e3fa75651b41"),
-    # recorded before the sampler stopped stepping shots through unsplit levels
+        "aaedcd54c85e8980d0f56db3464f4f1eb2ae5f7ea4b2f94366dc4f54c5125d83"),
     "solve-exact-6-shots": (
         ["solve", "--matrix", "exact.json", "--vector", "vector.json", "--register-bits", "6",
          "--shots", "100000", "--seed", "3"],
-        "a8b6d64a1fccb295ca89e71f0dc79ab9dcd241c6935347a60c992623346a4bdd"),
+        "afd7e26c3035615b0e63dedb8cc4f21cc1b3e195c48ccb56f7a4ebe68add1918"),
 }
 
 
